@@ -1,9 +1,10 @@
 //! Criterion benchmarks for the determinantal evaluation kernels at the
 //! bottom of the Pieri path tracker: per-iteration `eval` + `jacobian_x`
 //! (the reference split kernels, minor-based gradients) against the
-//! fused `eval_and_jacobian` (one build + one LU per condition matrix),
-//! the Davidenko tangent system, a fixed-budget Newton correction with
-//! and without a reused workspace, and whole-path Pieri jobs on the
+//! fused `eval_and_jacobian` (one build + one LU per condition matrix;
+//! also at a solved (3,3,0) point, where every condition matrix is
+//! singular), the Davidenko tangent system, a fixed-budget Newton
+//! correction with and without a reused workspace, and whole-path Pieri jobs on the
 //! shapes where a full generic solve is affordable as setup. The ROADMAP
 //! "fused determinantal kernels" table is regenerated from these medians.
 
@@ -75,6 +76,28 @@ fn bench_eval_jacobian(c: &mut Criterion) {
             },
         );
     }
+    // At a solved point of the root homotopy (t = 1) every condition
+    // matrix is singular: the regime of each path's final corrector
+    // steps, which random points never reach.
+    let mut rng = seeded_rng(94);
+    let shape = Shape::new(3, 3, 0);
+    let problem = PieriProblem::random(shape.clone(), &mut rng);
+    let solution = pieri_core::solve(&problem);
+    let h = PieriHomotopy::new(&problem, &shape.root());
+    let x = &solution.coeffs[0];
+    let mut ws = TrackWorkspace::new();
+    ws.ensure(h.dim());
+    group.bench_with_input(
+        BenchmarkId::new("fused_at_solution", shape_label((3, 3, 0))),
+        &(),
+        |b, _| {
+            b.iter(|| {
+                let (fx, jac, scratch) = ws.eval_buffers();
+                h.eval_and_jacobian(x, 1.0, fx, jac, scratch);
+                fx[0]
+            })
+        },
+    );
     group.finish();
 }
 

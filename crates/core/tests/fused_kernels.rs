@@ -4,9 +4,8 @@
 //! and instance homotopies must reproduce the separate reference calls
 //! (`eval` + `jacobian_x` + `dt`, minor-based gradients) to 1e-12
 //! relative accuracy at generic points, across random shapes and points,
-//! and must degrade gracefully to the minor-expansion fallback at
-//! near-singular points (i.e. at solutions, where every condition matrix
-//! is singular by construction).
+//! and must stay accurate at solutions, where every condition matrix is
+//! singular by construction.
 
 use pieri_core::{InstanceHomotopy, PieriHomotopy, PieriProblem, Shape};
 use pieri_linalg::CMat;
@@ -127,39 +126,59 @@ proptest! {
     }
 }
 
-/// At a solution every condition matrix is singular by construction: the
-/// fused path must detect the wild pivot ratios and fall back to the
-/// minor expansion, still agreeing with the reference Jacobian.
+/// At a solution every condition matrix is singular by construction. The
+/// fused kernels must still agree with the reference calls there: on
+/// (2,2,1) the 4×4 condition matrices take the closed-form minors, on
+/// (3,2,0) the 5×5 ones take the rank-one-tail LU route.
 #[test]
-fn near_singular_jacobian_uses_the_stable_fallback() {
-    let mut rng = seeded_rng(940);
-    let shape = Shape::new(2, 2, 1);
-    let problem = PieriProblem::random(shape.clone(), &mut rng);
-    let solution = pieri_core::solve(&problem);
-    assert_eq!(solution.failures, 0);
-    let h = PieriHomotopy::new(&problem, &shape.root());
-    let k = h.dim();
-    for x in &solution.coeffs {
-        // At t = 1 the moving condition is the k-th input plane: the
-        // solved coefficients make all k condition matrices singular.
-        let mut fx_ref = vec![Complex64::ZERO; k];
-        let mut jac_ref = CMat::zeros(k, k);
-        h.eval(x, 1.0, &mut fx_ref);
-        h.jacobian_x(x, 1.0, &mut jac_ref);
-        assert!(
-            fx_ref.iter().all(|z| z.norm() < 1e-7),
-            "x is a solution at t = 1"
-        );
+fn fused_kernels_at_solutions_match_reference() {
+    for (seed, (m, p, q)) in [(940u64, (2, 2, 1)), (941, (3, 2, 0))] {
+        let mut rng = seeded_rng(seed);
+        let shape = Shape::new(m, p, q);
+        let problem = PieriProblem::random(shape.clone(), &mut rng);
+        let solution = pieri_core::solve(&problem);
+        assert_eq!(solution.failures, 0, "({m},{p},{q})");
+        let h = PieriHomotopy::new(&problem, &shape.root());
+        let k = h.dim();
         let mut ws = TrackWorkspace::new();
         ws.ensure(k);
-        let (fx, jac, scratch) = ws.eval_buffers();
-        h.eval_and_jacobian(x, 1.0, fx, jac, scratch);
-        let scale = jac_ref.max_norm().max(1.0);
-        assert!(
-            (&*jac - &jac_ref).max_norm() <= 1e-9 * scale,
-            "near-singular Jacobians must agree through the fallback"
-        );
-        assert!(vecs_agree(fx, &fx_ref, 1e-12), "residuals agree");
+        for x in &solution.coeffs {
+            // At t = 1 the moving condition is the k-th input plane: the
+            // solved coefficients make all k condition matrices singular.
+            let mut fx_ref = vec![Complex64::ZERO; k];
+            let mut jac_ref = CMat::zeros(k, k);
+            let mut dt_ref = vec![Complex64::ZERO; k];
+            h.eval(x, 1.0, &mut fx_ref);
+            h.jacobian_x(x, 1.0, &mut jac_ref);
+            h.dt(x, 1.0, &mut dt_ref);
+            assert!(
+                fx_ref.iter().all(|z| z.norm() < 1e-7),
+                "({m},{p},{q}): x is a solution at t = 1"
+            );
+            let scale = jac_ref.max_norm().max(1.0);
+            let (fx, jac, scratch) = ws.eval_buffers();
+            h.eval_and_jacobian(x, 1.0, fx, jac, scratch);
+            assert!(
+                (&*jac - &jac_ref).max_norm() <= 1e-9 * scale,
+                "({m},{p},{q}): eval_and_jacobian Jacobians agree"
+            );
+            assert!(
+                vecs_agree(fx, &fx_ref, 1e-12),
+                "({m},{p},{q}): residuals agree"
+            );
+            let mut jac2 = CMat::zeros(k, k);
+            let mut ht = vec![Complex64::ZERO; k];
+            let (_, _, scratch) = ws.eval_buffers();
+            h.jacobian_and_dt(x, 1.0, &mut jac2, &mut ht, scratch);
+            assert!(
+                (&jac2 - &jac_ref).max_norm() <= 1e-9 * scale,
+                "({m},{p},{q}): jacobian_and_dt Jacobians agree"
+            );
+            assert!(
+                vecs_agree(&ht, &dt_ref, 1e-9),
+                "({m},{p},{q}): dt rows agree"
+            );
+        }
     }
 }
 

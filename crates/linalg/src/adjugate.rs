@@ -14,13 +14,15 @@
 //! numerically therefore differentiates every intersection condition exactly
 //! — no symbolic determinant expansion is ever formed.
 //!
-//! Near a solution the condition matrix is (by construction) nearly
-//! singular, so computing `adj(A) = det(A)·A⁻¹` through an LU solve is
-//! numerically treacherous exactly where we need it most. The minor-based
-//! evaluation used here costs `O(n⁵)` but is unconditionally stable, and the
-//! matrices are tiny (`n = m+p ≤ 8` in every experiment of the paper); the
-//! `det_jacobian` criterion bench quantifies the trade-off against the
-//! LU shortcut.
+//! Along a Pieri path every condition matrix is singular (each condition
+//! *is* `det A = 0`), so `adj(A) = det(A)·A⁻¹` through an LU solve would
+//! divide by a vanishing pivot exactly where the Jacobian matters most.
+//! [`DetCofactor`] instead splits off the last pivot `μ` of `P·A = L·U`
+//! and forms `adj(A)` from the leading block alone (rank-one tail, G. W.
+//! Stewart, "On the adjugate matrix", LAA 283, 1998): `O(n³)`, exact for
+//! rank `n − 1`. The per-entry minors of [`cofactor_matrix`] (`O(n⁵)`,
+//! unconditionally stable) remain the reference and the engine's fallback
+//! when an earlier pivot is tiny.
 
 use crate::lu::{Lu, LuError};
 use crate::matrix::CMat;
@@ -105,30 +107,35 @@ pub fn det_gradient(a: &CMat) -> CMat {
     cofactor_matrix(a)
 }
 
-/// Pivot-ratio guard above which [`DetCofactor`] abandons the LU shortcut
-/// for the unconditionally stable minor expansion. The LU cofactor
-/// `det(A)·A⁻ᵀ` loses roughly `κ(A)·ε` relative accuracy, so beyond this
-/// ratio fewer than ~4 significant digits would survive — too few for a
-/// Newton Jacobian near a singular endpoint.
+/// Guard on the ratio of largest to smallest of the first `n − 1` LU
+/// pivots, above which [`DetCofactor`] abandons the rank-one-tail route
+/// for the unconditionally stable minor expansion. That route inverts
+/// the leading block `U₁` and loses roughly `κ(U₁)·ε` relative accuracy,
+/// so beyond this ratio fewer than ~4 significant digits would survive —
+/// too few for a Newton Jacobian. The last pivot is not guarded: the
+/// route never divides by it.
 pub const FUSED_PIVOT_RATIO_LIMIT: f64 = 1e12;
 
 /// Fused determinant + cofactor evaluation with reusable storage.
 ///
-/// One LU factorisation yields the determinant (product of pivots) *and*
-/// every cofactor entry: column `c` of the cofactor matrix is
-/// `det(A) · y` where `Aᵀ·y = e_c`, i.e. two triangular solves per column
-/// against the factorisation already in hand — `O(n³)` total versus the
-/// `O(n⁵)` of [`cofactor_matrix`]'s per-entry minors. When the pivot
-/// ratio signals near-singularity (the regime where `det·A⁻ᵀ` cancels
-/// catastrophically — and, by construction, exactly where a Pieri
-/// condition matrix sits at a solution) the engine falls back to the
-/// minor expansion automatically, producing bitwise the same entries as
-/// [`cofactor_matrix`]. Every buffer is owned and reused, so steady-state
-/// calls perform no heap allocation.
+/// One LU factorisation `P·A = L·U`, `U = [U₁ u; 0 μ]`, yields the
+/// determinant (product of pivots) *and* every cofactor entry through
+/// `adj(A) = sign(P)·det(U₁)·[μ·U₁⁻¹, −U₁⁻¹·u; 0, 1]·L⁻¹·P` (Stewart
+/// 1998): two triangular sweeps per column, `O(n³)` total versus the
+/// `O(n⁵)` of [`cofactor_matrix`]'s per-entry minors. The formula never
+/// divides by `μ`, so it is exact for rank `n − 1` — which, by
+/// construction, is where every Pieri condition matrix sits along its
+/// path — and equals `det(A)·A⁻ᵀ` for regular input. The minor
+/// expansion (bitwise [`cofactor_matrix`]) runs only when LU meets a
+/// tiny pivot *before* the last step, or the first `n − 1` pivots
+/// exceed [`FUSED_PIVOT_RATIO_LIMIT`]: rank ≤ `n − 2` or an unlucky
+/// pivot order. Matrices up to 4×4 use closed-form minors. Every buffer
+/// is owned and reused, so steady-state calls perform no heap
+/// allocation.
 #[derive(Debug)]
 pub struct DetCofactor {
     lu: Lu,
-    rhs: Vec<Complex64>,
+    col: Vec<Complex64>,
     minor: CMat,
     minor_lu: Lu,
 }
@@ -147,7 +154,7 @@ impl DetCofactor {
             lu: Lu::default(),
             // lint:allow(hot-path-alloc) — empty-capacity constructor;
             // the buffer grows on first use and is reused afterwards.
-            rhs: Vec::new(),
+            col: Vec::new(),
             minor: CMat::zeros(0, 0),
             minor_lu: Lu::default(),
         }
@@ -207,35 +214,24 @@ impl DetCofactor {
                 Err(LuError::NotSquare) => unreachable!("squareness asserted above"),
             };
         }
-        match Lu::factor_into(a, &mut self.lu) {
-            Ok(()) if self.lu.pivot_ratio() <= FUSED_PIVOT_RATIO_LIMIT => {
-                let d = self.lu.det();
-                self.rhs.clear();
-                self.rhs.resize(n, Complex64::ZERO);
-                for c in 0..cols {
-                    self.rhs.fill(Complex64::ZERO);
-                    self.rhs[c] = Complex64::ONE;
-                    self.lu.solve_transpose_in_place(&mut self.rhs);
-                    for r in 0..n {
-                        cof[(r, c)] = d * self.rhs[r];
-                    }
-                }
-                d
-            }
-            Ok(()) => {
-                // Factorisation succeeded but the pivots are too spread:
-                // keep the LU determinant (the same value `det` reports)
-                // but take the cofactors from the stable minor expansion.
-                let d = self.lu.det();
-                self.cofactor_via_minors(a, cof, cols);
-                d
-            }
+        // The determinant is the pivot product, or 0 when LU reports
+        // singular — bitwise what `crate::det` returns.
+        let d = match Lu::factor_into(a, &mut self.lu) {
+            Ok(()) => self.lu.det(),
+            Err(LuError::Singular { step }) if step == n - 1 => Complex64::ZERO,
             Err(LuError::Singular { .. }) => {
                 self.cofactor_via_minors(a, cof, cols);
-                Complex64::ZERO
+                return Complex64::ZERO;
             }
             Err(LuError::NotSquare) => unreachable!("squareness asserted above"),
+        };
+        if self.lu.leading_pivot_ratio() <= FUSED_PIVOT_RATIO_LIMIT {
+            self.col.resize(n, Complex64::ZERO);
+            self.lu.cofactor_cols_into(cof, cols, &mut self.col);
+        } else {
+            self.cofactor_via_minors(a, cof, cols);
         }
+        d
     }
 
     /// Minor-expansion fallback writing the leading `cols` columns into
@@ -382,11 +378,25 @@ mod tests {
         }
     }
 
+    /// `cof` agrees with the minor expansion to 1e-12 relative and
+    /// satisfies `A·adj(A) = det(A)·I` with `adj(A) = cofᵀ`.
+    fn assert_cofactor_identities(a: &CMat, cof: &CMat, d: Complex64) {
+        let n = a.rows();
+        let c_ref = cofactor_matrix(a);
+        let scale = c_ref.max_norm();
+        let err = (cof - &c_ref).max_norm();
+        assert!(err <= 1e-12 * scale, "n={n}: |cof − minors| = {err:e}");
+        let prod = a * &cof.transpose();
+        let err = (&prod - &CMat::identity(n).scale(d)).max_norm();
+        let tol = 1e-12 * a.max_norm() * scale * n as f64;
+        assert!(err <= tol, "n={n}: |A·adj(A) − det·I| = {err:e}");
+    }
+
     #[test]
-    fn fused_engine_falls_back_on_singular_input() {
-        // Rank n−1 at n = 5 (past the closed-form cutoff): LU
-        // factorisation fails, the fallback must reproduce the
-        // minor-based cofactor bitwise and report det = 0.
+    fn fused_engine_rank_one_tail_handles_singular_input() {
+        // Rank n−1 at n = 5 (past the closed-form cutoff): LU stops at
+        // the last pivot, det reports 0, and the rank-one-tail route
+        // still yields the nonzero cofactors.
         let a = CMat::from_rows(&[
             vec![
                 c(1.0, 0.0),
@@ -427,8 +437,9 @@ mod tests {
         let mut engine = DetCofactor::new();
         let mut cof = CMat::zeros(5, 5);
         let d = engine.det_and_cofactor_into(&a, &mut cof);
+        assert!(matches!(Lu::factor(&a), Err(LuError::Singular { step: 4 })));
         assert_eq!(d, Complex64::ZERO);
-        assert_eq!(cof, cofactor_matrix(&a), "fallback is bitwise the minors");
+        assert_cofactor_identities(&a, &cof, d);
         assert!(cof.fro_norm() > 1e-10, "rank n−1 cofactor is nonzero");
     }
 
@@ -457,9 +468,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_engine_falls_back_on_wild_pivot_ratio() {
-        // diag(1, …, 1, 1e-13): factorisation succeeds but the pivot
-        // ratio exceeds the guard, so cofactors must come from minors.
+    fn fused_engine_rank_one_tail_handles_tiny_last_pivot() {
+        // diag(1, …, 1, 1e-13): the full pivot ratio exceeds the guard,
+        // but only the last pivot is small, which the rank-one-tail
+        // route never divides by.
         let n = 5;
         let a = CMat::from_fn(n, n, |i, j| {
             if i != j {
@@ -473,8 +485,60 @@ mod tests {
         let mut engine = DetCofactor::new();
         let mut cof = CMat::zeros(n, n);
         let d = engine.det_and_cofactor_into(&a, &mut cof);
-        assert!(d.dist(c(1e-13, 0.0)) < 1e-25, "LU det survives");
-        assert_eq!(cof, cofactor_matrix(&a), "cofactors from the fallback");
+        assert_eq!(d, lu::det(&a), "LU det survives");
+        assert_cofactor_identities(&a, &cof, d);
+    }
+
+    /// `a` reaches the minor fallback — a tiny pivot before the last
+    /// step, or a wild ratio among the first `n − 1` pivots — and the
+    /// engine returns bitwise [`cofactor_matrix`] with the LU det.
+    fn assert_minor_fallback(engine: &mut DetCofactor, a: &CMat) {
+        let n = a.rows();
+        let early = matches!(Lu::factor(a), Err(LuError::Singular { step }) if step < n - 1);
+        let wild = Lu::factor(a).is_ok_and(|f| f.leading_pivot_ratio() > FUSED_PIVOT_RATIO_LIMIT);
+        assert!(early || wild, "input reaches the minor fallback");
+        let mut cof = CMat::zeros(n, n);
+        let d = engine.det_and_cofactor_into(a, &mut cof);
+        assert_eq!(d, lu::det(a), "LU det (0 when singular)");
+        assert_eq!(cof, cofactor_matrix(a), "bitwise the minors");
+    }
+
+    #[test]
+    fn fused_engine_falls_back_on_singular_input() {
+        // Singular input whose LU stops before the last step still takes
+        // the minor expansion: rank n−2, and rank n−1 behind a zero
+        // first pivot column.
+        let mut rng = seeded_rng(27);
+        let n = 6;
+        let generic = CMat::random(n, n, &mut rng, random_complex);
+        let rank_n_minus_2 = CMat::from_fn(n, n, |i, j| generic[(i % 4, j)]);
+        let zero_first_col = CMat::from_fn(n, n, |i, j| {
+            if j == 0 {
+                Complex64::ZERO
+            } else {
+                generic[(i, j)]
+            }
+        });
+        let mut engine = DetCofactor::new();
+        assert_minor_fallback(&mut engine, &rank_n_minus_2);
+        assert_minor_fallback(&mut engine, &zero_first_col);
+        assert!(
+            cofactor_matrix(&zero_first_col).fro_norm() > 1e-10,
+            "rank n−1 cofactor is nonzero"
+        );
+    }
+
+    #[test]
+    fn fused_engine_falls_back_on_wild_pivot_ratio() {
+        // diag(1e-13, 1, …, 1): regular, but the first n−1 pivots span
+        // 1e13 — past the guard on the block the rank-one tail inverts.
+        let n = 5;
+        let a = CMat::from_fn(n, n, |i, j| match (i, j) {
+            (0, 0) => c(1e-13, 0.0),
+            _ if i == j => Complex64::ONE,
+            _ => Complex64::ZERO,
+        });
+        assert_minor_fallback(&mut DetCofactor::new(), &a);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   is the kernel of the Pieri homotopy evaluator;
 //! * [`DetCofactor`] — the fused det+cofactor engine behind the homotopy
 //!   fast path: one LU factorisation per condition matrix yields the
-//!   determinant and every cofactor entry (`O(n³)`), with an automatic
-//!   fall-back to the stable minor expansion near singularity.
+//!   determinant and every cofactor entry (`O(n³)`) without dividing by
+//!   the last pivot, so singular input of rank `n − 1` stays on it; the
+//!   stable minor expansion remains for a tiny pivot before the last
+//!   step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

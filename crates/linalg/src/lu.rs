@@ -83,7 +83,9 @@ impl Lu {
     /// the slot has seen a matrix of this size).
     ///
     /// On error the contents of `into` are unspecified and must not be
-    /// used for solves.
+    /// used for solves. (Within this crate, `Singular { step: n − 1 }`
+    /// leaves the first `n − 1` elimination steps intact for the
+    /// cofactor engine.)
     pub fn factor_into(a: &CMat, into: &mut Lu) -> Result<(), LuError> {
         let n = a.rows();
         if !a.is_square() {
@@ -145,6 +147,12 @@ impl Lu {
                 }
             }
             if best_norm <= tol {
+                // Crate-private contract: steps `0..k` are complete and
+                // no swap happens at `k`, so after `Singular { step: n − 1 }`
+                // the packed factors hold `P·A = L·U` with the negligible
+                // last pivot in place — the state `cofactor_cols_into`
+                // reads.
+                into.ipiv[k] = k;
                 return Err(LuError::Singular { step: k });
             }
             into.ipiv[k] = best;
@@ -239,41 +247,83 @@ impl Lu {
         }
     }
 
-    /// Solves the transposed system `Aᵀ·y = b` in place (no conjugation).
-    ///
-    /// With `P·A = L·U` this is `Uᵀ·Lᵀ·P·y = b`: one forward sweep with
-    /// `Uᵀ` (lower triangular), one backward sweep with `Lᵀ` (unit upper
-    /// triangular), then the swap replay in reverse. This is the
-    /// "adjugate row extraction" primitive of the fused determinantal
-    /// kernels: column `c` of the cofactor matrix is
-    /// `det(A) · (Aᵀ)⁻¹·e_c`.
-    ///
-    /// # Panics
-    /// Panics when `b.len() != self.dim()`.
-    pub fn solve_transpose_in_place(&self, b: &mut [Complex64]) {
+    /// Ratio of largest to smallest of the first `n − 1` pivots: the
+    /// [`Lu::pivot_ratio`] of the leading block `U₁` that
+    /// [`Lu::cofactor_cols_into`] inverts. Only meaningful after
+    /// `Ok` or `Singular { step: n − 1 }`.
+    pub(crate) fn leading_pivot_ratio(&self) -> f64 {
         let n = self.dim();
-        assert_eq!(b.len(), n, "solve_transpose_in_place: length mismatch");
-        // Forward substitution with Uᵀ (diagonal division).
-        for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * b[j];
-            }
-            b[i] = acc / self.lu[(i, i)];
+        let (lo, hi) = (0..n.saturating_sub(1))
+            .map(|k| self.lu[(k, k)].norm())
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), v| {
+                (lo.min(v), hi.max(v))
+            });
+        hi / lo
+    }
+
+    /// Writes the leading `cols` columns of the cofactor matrix
+    /// `C = adj(A)ᵀ` into `cof` in `O(n²)` per column, without dividing
+    /// by the last pivot `μ`.
+    ///
+    /// With `P·A = L·U` and `U = [U₁ u; 0 μ]`,
+    /// `adj(A) = sign(P)·adj(U)·L⁻¹·P` and
+    /// `adj(U) = det(U₁)·[μ·U₁⁻¹, −U₁⁻¹·u; 0, 1]`
+    /// (G. W. Stewart, "On the adjugate matrix", LAA 283, 1998). Row `c`
+    /// of `adj(U)` needs one forward sweep with `U₁ᵀ`; a backward sweep
+    /// with `Lᵀ` and the swap replay in reverse turn it into column `c`
+    /// of `C`. The result is exact for rank `n − 1` (`μ = 0`) and equals
+    /// `det(A)·A⁻ᵀ` for regular `A`; its accuracy rests on `U₁` alone
+    /// (see [`Lu::leading_pivot_ratio`]).
+    ///
+    /// Valid for `n ≥ 1` after `Ok` and after `Singular { step: n − 1 }`
+    /// (see [`Lu::factor_into`]). `v` is caller scratch of length `n`.
+    pub(crate) fn cofactor_cols_into(&self, cof: &mut CMat, cols: usize, v: &mut [Complex64]) {
+        let n = self.dim();
+        debug_assert_eq!(v.len(), n, "cofactor_cols_into: scratch length");
+        let last = n - 1;
+        // sign(P)·det(U₁), applied once per entry at the end.
+        let mut s = Complex64::real(self.sign);
+        for k in 0..last {
+            s *= self.lu[(k, k)];
         }
-        // Back substitution with Lᵀ (unit diagonal).
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            for j in i + 1..n {
-                acc -= self.lu[(j, i)] * b[j];
+        let mu = self.lu[(last, last)];
+        for c in 0..cols {
+            v.fill(Complex64::ZERO);
+            v[c] = Complex64::ONE;
+            if c < last {
+                // z = U₁⁻ᵀ·e_c (zero above c), then
+                // row c of adj(U)/det(U₁) = [μ·zᵀ, −zᵀ·u].
+                let mut zu = Complex64::ZERO;
+                for i in c..last {
+                    let mut acc = v[i];
+                    for j in c..i {
+                        acc -= self.lu[(j, i)] * v[j];
+                    }
+                    v[i] = acc / self.lu[(i, i)];
+                    zu += v[i] * self.lu[(i, last)];
+                }
+                for z in &mut v[c..last] {
+                    *z *= mu;
+                }
+                v[last] = -zu;
             }
-            b[i] = acc;
-        }
-        // y = Pᵀ·w: replay the swaps in reverse order.
-        for k in (0..n).rev() {
-            let p = self.ipiv[k];
-            if p != k {
-                b.swap(k, p);
+            // Back substitution with Lᵀ (unit diagonal).
+            for i in (0..n).rev() {
+                let mut acc = v[i];
+                for j in i + 1..n {
+                    acc -= self.lu[(j, i)] * v[j];
+                }
+                v[i] = acc;
+            }
+            // Pᵀ: replay the swaps in reverse order.
+            for k in (0..n).rev() {
+                let p = self.ipiv[k];
+                if p != k {
+                    v.swap(k, p);
+                }
+            }
+            for r in 0..n {
+                cof[(r, c)] = s * v[r];
             }
         }
     }
@@ -486,22 +536,6 @@ mod tests {
             let mut y = b.clone();
             lu.solve_in_place(&mut y);
             assert_eq!(x, y, "n={n}: identical bits");
-        }
-    }
-
-    #[test]
-    fn solve_transpose_solves_the_transposed_system() {
-        let mut rng = seeded_rng(17);
-        for n in 1..=7 {
-            let a = CMat::random(n, n, &mut rng, random_complex);
-            let x: Vec<Complex64> = (0..n).map(|_| random_complex(&mut rng)).collect();
-            let b = a.transpose().mul_vec(&x);
-            let lu = Lu::factor(&a).unwrap();
-            let mut y = b.clone();
-            lu.solve_transpose_in_place(&mut y);
-            for i in 0..n {
-                assert!(y[i].dist(x[i]) < 1e-9, "n={n} i={i}");
-            }
         }
     }
 

@@ -1,6 +1,8 @@
 //! Property-based tests of the linear-algebra kernels.
 
-use pieri_linalg::{adjugate, det, det_via_minors, eigenvalues, CMat, Lu, Qr};
+use pieri_linalg::{
+    adjugate, cofactor_matrix, det, det_via_minors, eigenvalues, CMat, DetCofactor, Lu, Qr,
+};
 use pieri_num::{random_complex, seeded_rng, Complex64};
 use proptest::prelude::*;
 
@@ -53,6 +55,51 @@ proptest! {
         let prod = &a * &adjugate(&a);
         let target = CMat::identity(n).scale(d);
         prop_assert!((&prod - &target).fro_norm() < 1e-7 * (1.0 + d.norm()));
+    }
+
+    /// The fused engine's cofactors match the minor expansion on the
+    /// inputs a Pieri path feeds it: one column (at every position) a
+    /// combination of the others — rank n − 1 — perturbed by ε.
+    #[test]
+    fn fused_cofactors_match_minors_near_rank_deficiency(
+        n in 5usize..=8,
+        eps_idx in 0usize..5,
+        cols in 0usize..=8,
+        seed in 0u64..10_000,
+    ) {
+        let cols = cols.min(n);
+        let eps = [0.0, 1e-16, 1e-13, 1e-10, 1e-6][eps_idx];
+        let mut rng = seeded_rng(seed);
+        let mut engine = DetCofactor::new();
+        for dep in 0..n {
+            let mut a = CMat::random(n, n, &mut rng, random_complex);
+            let w: Vec<Complex64> = (0..n).map(|_| random_complex(&mut rng)).collect();
+            for i in 0..n {
+                let mut v = random_complex(&mut rng).scale(eps);
+                for j in (0..n).filter(|&j| j != dep) {
+                    v += w[j] * a[(i, j)];
+                }
+                a[(i, dep)] = v;
+            }
+            let c_ref = cofactor_matrix(&a);
+            let tol = 1e-12 * c_ref.max_norm();
+            let mut full = CMat::zeros(n, n);
+            engine.det_and_cofactor_into(&a, &mut full);
+            prop_assert!(
+                (&full - &c_ref).max_norm() <= tol,
+                "n={} dep={} eps={:e}", n, dep, eps
+            );
+            let mut part = CMat::zeros(n, n);
+            engine.det_and_cofactor_cols_into(&a, &mut part, cols);
+            for r in 0..n {
+                for c in 0..cols {
+                    prop_assert!(
+                        part[(r, c)].dist(c_ref[(r, c)]) <= tol,
+                        "n={} dep={} eps={:e} cols={}: ({}, {})", n, dep, eps, cols, r, c
+                    );
+                }
+            }
+        }
     }
 
     /// Cofactor expansion agrees with LU determinants.
