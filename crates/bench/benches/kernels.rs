@@ -177,13 +177,16 @@ fn bench_track_job(c: &mut Criterion) {
         let child_sol = solution.coeffs[0][..child.rank()].to_vec();
         let settings = TrackSettings::default();
         group.bench_with_input(
-            BenchmarkId::new("run_job", shape_label((m, p, q))),
+            BenchmarkId::new("run_job_with", shape_label((m, p, q))),
             &(),
             |b, _| {
                 b.iter(|| {
-                    pieri_core::run_job(&problem, &root, &child, &child_sol, &settings)
-                        .1
-                        .steps
+                    let mut ws = TrackWorkspace::new();
+                    pieri_core::run_job_with(
+                        &problem, &root, &child, &child_sol, &settings, &mut ws,
+                    )
+                    .1
+                    .steps
                 })
             },
         );

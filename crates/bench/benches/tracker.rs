@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pieri_num::{random_gamma, seeded_rng};
 use pieri_systems::{cyclic, total_degree_start};
-use pieri_tracker::{track_path, LinearHomotopy, Predictor, TrackSettings};
+use pieri_tracker::{track_path, LinearHomotopy, Predictor, TrackSettings, TrackWorkspace};
 
 fn cyclic5_setup() -> (LinearHomotopy, Vec<Vec<pieri_num::Complex64>>) {
     let mut rng = seeded_rng(80);
@@ -68,7 +68,10 @@ fn bench_pieri_job(c: &mut Criterion) {
     let child_sol = solution.coeffs[0][..child.rank()].to_vec();
     let settings = TrackSettings::default();
     c.bench_function("pieri_job_root_221", |b| {
-        b.iter(|| pieri_core::run_job(&problem, &root, &child, &child_sol, &settings))
+        b.iter(|| {
+            let mut ws = TrackWorkspace::new();
+            pieri_core::run_job_with(&problem, &root, &child, &child_sol, &settings, &mut ws)
+        })
     });
 }
 

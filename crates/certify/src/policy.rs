@@ -1,13 +1,17 @@
-//! The certification knob threaded through the solver stack.
+//! The certification knob: an argument of each layer's one entry point.
 
 use pieri_tracker::{RetrackPolicy, TrackSettings};
 
 /// What quality-of-result work a solve should perform on the solutions
 /// it ships.
 ///
-/// `core::solve_prepared_certified`, the certified parallel drivers, the
-/// control layer's certified pole-placement solvers and the batch
-/// service all take one of these; [`CertifyPolicy::off`] reproduces the
+/// One entry point per layer takes one of these as an argument:
+/// `core::solve_prepared`, `core::continue_to_instance` (and
+/// `StartBundle::continue_to`), the control layer's
+/// `solve_{static,dynamic}_state_space_certified`, and the batch service
+/// (its `EngineConfig::certify` applies to jobs that ask for
+/// certification). The parallel schedulers apply it as a post-pass
+/// through `core::certify_roots`. [`CertifyPolicy::off`] reproduces the
 /// uncertified behaviour bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertifyPolicy {

@@ -19,6 +19,17 @@
 //!   problem, extract [`Compensator`]s, and verify that the closed-loop
 //!   characteristic polynomial `φ(s) = det [X(s) | Γ(s)]` vanishes at
 //!   every prescribed pole;
+//! * [`solve_static_state_space`] / [`solve_dynamic_state_space`] — the
+//!   paper's two stages for a state-space plant: the Pieri tree on a
+//!   generic instance, then one coefficient-parameter continuation to
+//!   the plant;
+//! * [`solve_static_state_space_certified`] /
+//!   [`solve_dynamic_state_space_certified`] — the warm path from a
+//!   cached [`pieri_core::StartBundle`], with a
+//!   [`pieri_certify::CertifyPolicy`] argument (`CertifyPolicy::off()`
+//!   is the plain warm path, bit for bit);
+//!   [`solve_dynamic_state_space_with_start`] is the `off()` form, kept
+//!   because the repository benchmark calls it;
 //! * [`satellite`] — the classical 4-state, 2-input, 2-output linearised
 //!   satellite used in the authors' companion papers, as a worked
 //!   state-space example.
@@ -37,8 +48,7 @@ pub use plant::Plant;
 pub use pole::{
     conjugate_pole_set, solve_dynamic_state_space, solve_dynamic_state_space_certified,
     solve_dynamic_state_space_with_start, solve_static_state_space,
-    solve_static_state_space_certified, solve_static_state_space_with_start, verify_closed_loop_ss,
-    PolePlacement, PolePlacementOutcome,
+    solve_static_state_space_certified, verify_closed_loop_ss, PolePlacement, PolePlacementOutcome,
 };
 pub use satellite::{satellite_plant, SATELLITE_OMEGA};
 pub use statespace::StateSpace;

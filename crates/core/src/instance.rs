@@ -280,7 +280,8 @@ pub struct InstanceContinuation {
     /// per-job diagnostics the batch service reports).
     pub stats: TrackStats,
     /// One certificate per entry of `coeffs`/`maps`, in order — filled
-    /// by [`continue_to_instance_certified`], empty otherwise.
+    /// by [`continue_to_instance`] under a policy that certifies or
+    /// refines, empty otherwise.
     pub certificates: Vec<Certificate>,
     /// The run was cut short by a [`pieri_tracker::cancel`] scope at a
     /// path boundary: `maps`/`coeffs` hold only the paths finished
@@ -293,22 +294,13 @@ pub struct InstanceContinuation {
 /// Tracks all solutions of the generic `start` instance to the `target`
 /// instance. `start_coeffs` are the root-pattern coefficient vectors
 /// produced by [`crate::solve`] on `start`.
-pub fn continue_to_instance(
-    start: &PieriProblem,
-    start_coeffs: &[Vec<Complex64>],
-    target: &PieriProblem,
-    settings: &TrackSettings,
-) -> InstanceContinuation {
-    continue_to_instance_certified(start, start_coeffs, target, settings, &CertifyPolicy::off())
-}
-
-/// [`continue_to_instance`] with a [`CertifyPolicy`]: failed paths are
+///
+/// `policy` is the optional certification post-pass: failed paths are
 /// re-tracked per `policy.retrack`, converged endpoints are certified
 /// against the target conditions and (per policy) double-double-refined
 /// in place, with one [`Certificate`] per shipped solution.
-///
-/// [`CertifyPolicy::off`] reproduces the uncertified behaviour exactly.
-pub fn continue_to_instance_certified(
+/// [`CertifyPolicy::off`] is the plain continuation, bit for bit.
+pub fn continue_to_instance(
     start: &PieriProblem,
     start_coeffs: &[Vec<Complex64>],
     target: &PieriProblem,
@@ -376,7 +368,13 @@ mod tests {
         let target = PieriProblem::random(shape.clone(), &mut rng);
         let sol = crate::solver::solve(&start);
         assert_eq!(sol.maps.len(), 2);
-        let cont = continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+        let cont = continue_to_instance(
+            &start,
+            &sol.coeffs,
+            &target,
+            &TrackSettings::default(),
+            &CertifyPolicy::off(),
+        );
         assert_eq!(
             cont.maps.len(),
             2,
@@ -448,7 +446,13 @@ mod tests {
         let token = pieri_tracker::CancelToken::new();
         token.cancel();
         let cont = pieri_tracker::cancel::scope(&token, || {
-            continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default())
+            continue_to_instance(
+                &start,
+                &sol.coeffs,
+                &target,
+                &TrackSettings::default(),
+                &CertifyPolicy::off(),
+            )
         });
         assert!(cont.cancelled);
         assert_eq!(cont.stats.total(), 0, "no path was started");
@@ -459,10 +463,22 @@ mod tests {
         // scope the same run is unaffected.
         let expired = pieri_tracker::CancelToken::with_deadline(std::time::Instant::now());
         let cont = pieri_tracker::cancel::scope(&expired, || {
-            continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default())
+            continue_to_instance(
+                &start,
+                &sol.coeffs,
+                &target,
+                &TrackSettings::default(),
+                &CertifyPolicy::off(),
+            )
         });
         assert!(cont.cancelled && cont.coeffs.is_empty());
-        let cont = continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+        let cont = continue_to_instance(
+            &start,
+            &sol.coeffs,
+            &target,
+            &TrackSettings::default(),
+            &CertifyPolicy::off(),
+        );
         assert!(!cont.cancelled);
         assert_eq!(cont.maps.len(), 2);
     }
@@ -477,8 +493,13 @@ mod tests {
         let sol = crate::solver::solve(&start);
         for _ in 0..3 {
             let target = PieriProblem::random(shape.clone(), &mut rng);
-            let cont =
-                continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+            let cont = continue_to_instance(
+                &start,
+                &sol.coeffs,
+                &target,
+                &TrackSettings::default(),
+                &CertifyPolicy::off(),
+            );
             assert_eq!(cont.maps.len(), 2);
         }
     }

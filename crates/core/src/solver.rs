@@ -52,8 +52,8 @@ pub struct PieriSolution {
     /// Pieri homotopies are optimal, no path diverges).
     pub failures: usize,
     /// One certificate per root solution, in `coeffs` order — filled by
-    /// [`solve_prepared_certified`] (and the certified parallel
-    /// drivers), empty otherwise.
+    /// [`solve_prepared`] or [`certify_roots`] under a policy that
+    /// certifies or refines, empty otherwise.
     pub certificates: Vec<Certificate>,
 }
 
@@ -97,29 +97,36 @@ impl PieriSolution {
     }
 }
 
-/// Solves a Pieri problem with default tracking settings.
+/// Solves a Pieri problem with default tracking settings and no
+/// certification — the one-call convenience form of [`solve_prepared`],
+/// kept with this exact signature because the repository benchmark
+/// (`perfbench`) calls it.
 pub fn solve(problem: &PieriProblem) -> PieriSolution {
-    solve_with_settings(problem, &TrackSettings::default())
-}
-
-/// Solves a Pieri problem level by level with the given tracker settings.
-///
-/// Builds the poset for the problem's shape and delegates to
-/// [`solve_prepared`]. Callers that solve many instances of the same
-/// shape (the batch service's shape cache) build the poset once and call
-/// [`solve_prepared`] directly — the poset depends only on `(m, p, q)`,
-/// not on the problem data.
-pub fn solve_with_settings(problem: &PieriProblem, settings: &TrackSettings) -> PieriSolution {
     let poset = Poset::build(problem.shape());
-    solve_prepared(problem, &poset, settings)
+    solve_prepared(
+        problem,
+        &poset,
+        &TrackSettings::default(),
+        &CertifyPolicy::off(),
+    )
 }
 
-/// Solves a Pieri problem against a pre-built poset.
+/// Solves a Pieri problem level by level against a pre-built poset.
 ///
-/// Solutions at level `k−1` are dropped as soon as level `k` completes —
-/// the poset organisation needs two live levels, whereas the Pieri-tree
-/// organisation of the parallel scheduler needs only one chain per worker
-/// (the memory argument of Section III.C of the paper).
+/// The poset depends only on `(m, p, q)`, not on the problem data, so
+/// callers that solve many instances of one shape (the batch service's
+/// shape cache) build it once. Solutions at level `k−1` are dropped as
+/// soon as level `k` completes — the poset organisation needs two live
+/// levels, whereas the Pieri-tree organisation of the parallel
+/// scheduler needs only one chain per worker (the memory argument of
+/// Section III.C of the paper).
+///
+/// `policy` is the optional certification post-pass: tracking jobs
+/// re-track failed paths per `policy.retrack`, and the root solutions —
+/// the ones a solve ships — are certified against the problem's
+/// intersection conditions and (per policy) double-double-refined in
+/// place, filling [`PieriSolution::certificates`].
+/// [`CertifyPolicy::off`] is the plain solve, bit for bit.
 ///
 /// # Panics
 /// Panics when `poset` was built for a different shape.
@@ -127,6 +134,7 @@ pub fn solve_prepared(
     problem: &PieriProblem,
     poset: &Poset,
     settings: &TrackSettings,
+    policy: &CertifyPolicy,
 ) -> PieriSolution {
     let shape = problem.shape();
     assert_eq!(
@@ -134,6 +142,7 @@ pub fn solve_prepared(
         shape,
         "poset was built for a different shape"
     );
+    let settings = policy.effective_settings(settings);
     let n = shape.conditions();
 
     // Solutions per pattern at the previous level; trivial level seeds the
@@ -160,7 +169,7 @@ pub fn solve_prepared(
                 let child_layout = CoeffLayout::new(&child);
                 for y in child_sols {
                     let x0 = homotopy.layout().embed_child(&child_layout, y);
-                    let result = track_path_with(&homotopy, &x0, settings, &mut ws);
+                    let result = track_path_with(&homotopy, &x0, &settings, &mut ws);
                     records.push(JobRecord {
                         level: k,
                         pattern: pattern.shorthand(),
@@ -185,31 +194,13 @@ pub fn solve_prepared(
     let root = shape.root();
     let coeffs = prev.remove(root.pivots()).unwrap_or_default();
     let maps = coeffs.iter().map(|x| PMap::from_coeffs(&root, x)).collect();
-    PieriSolution {
+    let mut solution = PieriSolution {
         maps,
         coeffs,
         records,
         failures,
         certificates: Vec::new(),
-    }
-}
-
-/// [`solve_prepared`] with a [`CertifyPolicy`] knob: tracking jobs
-/// re-track failed paths per `policy.retrack`, and the root solutions —
-/// the ones a solve ships — are certified against the problem's
-/// intersection conditions and (per policy) double-double-refined in
-/// place, filling [`PieriSolution::certificates`].
-///
-/// # Panics
-/// Panics when `poset` was built for a different shape.
-pub fn solve_prepared_certified(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-    policy: &CertifyPolicy,
-) -> PieriSolution {
-    let track_settings = policy.effective_settings(settings);
-    let mut solution = solve_prepared(problem, poset, &track_settings);
+    };
     certify_roots(problem, &mut solution, policy);
     solution
 }
@@ -230,22 +221,11 @@ pub fn certify_roots(problem: &PieriProblem, solution: &mut PieriSolution, polic
     }
 }
 
-/// Solves one job explicitly: used by the parallel scheduler, which owns
-/// the job ordering. Returns the converged coefficients, or `None`.
-pub fn run_job(
-    problem: &PieriProblem,
-    pattern: &Pattern,
-    child: &Pattern,
-    child_solution: &[Complex64],
-    settings: &TrackSettings,
-) -> (Option<Vec<Complex64>>, JobRecord) {
-    let mut ws = TrackWorkspace::new();
-    run_job_with(problem, pattern, child, child_solution, settings, &mut ws)
-}
-
-/// [`run_job`] against a caller-owned [`TrackWorkspace`] — the form the
-/// parallel schedulers use, each worker holding one workspace that is
-/// reused across every job it executes.
+/// Solves one job (one Pieri-tree edge) explicitly, against a
+/// caller-owned [`TrackWorkspace`]: the form the parallel schedulers
+/// use, since they own the job ordering — each worker holds one
+/// workspace that is reused across every job it executes. Returns the
+/// converged coefficients, or `None`.
 pub fn run_job_with(
     problem: &PieriProblem,
     pattern: &Pattern,
@@ -336,7 +316,12 @@ mod tests {
             PieriProblem::random(shape.clone(), &mut rng)
         };
         let fresh = solve(&make());
-        let shared = solve_prepared(&make(), &poset, &TrackSettings::default());
+        let shared = solve_prepared(
+            &make(),
+            &poset,
+            &TrackSettings::default(),
+            &CertifyPolicy::off(),
+        );
         assert_eq!(fresh.coeffs, shared.coeffs, "same path, same bits");
     }
 
@@ -346,7 +331,12 @@ mod tests {
         let mut rng = seeded_rng(406);
         let problem = PieriProblem::random(Shape::new(2, 2, 0), &mut rng);
         let poset = Poset::build(&Shape::new(3, 2, 0));
-        let _ = solve_prepared(&problem, &poset, &TrackSettings::default());
+        let _ = solve_prepared(
+            &problem,
+            &poset,
+            &TrackSettings::default(),
+            &CertifyPolicy::off(),
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::poset::Poset;
 use crate::problem::PieriProblem;
 use crate::solver::{solve_prepared, PieriSolution};
 use crate::Shape;
+use pieri_certify::CertifyPolicy;
 use pieri_num::Complex64;
 use pieri_tracker::TrackSettings;
 use rand::Rng;
@@ -47,7 +48,7 @@ impl StartBundle {
         let t0 = std::time::Instant::now();
         let poset = Poset::build(&shape);
         let problem = PieriProblem::random(shape, rng);
-        let solution = solve_prepared(&problem, &poset, settings);
+        let solution = solve_prepared(&problem, &poset, settings, &CertifyPolicy::off());
         Self::from_parts(poset, problem, solution, t0.elapsed())
     }
 
@@ -171,7 +172,9 @@ impl StartBundle {
     }
 
     /// Continues all generic solutions to `target` — the cheap warm
-    /// path: `d(m,p,q)` straight-line paths, no tree.
+    /// path: `d(m,p,q)` straight-line paths, no tree — with `policy` as
+    /// the optional certification post-pass (see
+    /// [`continue_to_instance`]).
     ///
     /// # Panics
     /// Panics when `target` has a different shape (via
@@ -180,27 +183,9 @@ impl StartBundle {
         &self,
         target: &PieriProblem,
         settings: &TrackSettings,
+        policy: &CertifyPolicy,
     ) -> InstanceContinuation {
-        continue_to_instance(&self.problem, &self.coeffs, target, settings)
-    }
-
-    /// [`StartBundle::continue_to`] with a
-    /// [`pieri_certify::CertifyPolicy`]: re-tracks failed paths,
-    /// certifies every shipped solution and refines per policy (see
-    /// [`crate::continue_to_instance_certified`]).
-    pub fn continue_to_certified(
-        &self,
-        target: &PieriProblem,
-        settings: &TrackSettings,
-        policy: &pieri_certify::CertifyPolicy,
-    ) -> InstanceContinuation {
-        crate::instance::continue_to_instance_certified(
-            &self.problem,
-            &self.coeffs,
-            target,
-            settings,
-            policy,
-        )
+        continue_to_instance(&self.problem, &self.coeffs, target, settings, policy)
     }
 
     /// Rough resident size of this bundle in bytes: the generic solution
@@ -231,7 +216,7 @@ mod tests {
         assert_eq!(bundle.shape(), &shape);
 
         let target = PieriProblem::random(shape, &mut rng);
-        let cont = bundle.continue_to(&target, &TrackSettings::default());
+        let cont = bundle.continue_to(&target, &TrackSettings::default(), &CertifyPolicy::off());
         assert_eq!(cont.maps.len(), 2, "both roots reach the target");
         assert_eq!(cont.stats.total(), 2);
         for m in &cont.maps {
@@ -245,8 +230,8 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
         let bundle = StartBundle::build(shape.clone(), &mut rng, &TrackSettings::default());
         let target = PieriProblem::random(shape, &mut rng);
-        let a = bundle.continue_to(&target, &TrackSettings::default());
-        let b = bundle.continue_to(&target, &TrackSettings::default());
+        let a = bundle.continue_to(&target, &TrackSettings::default(), &CertifyPolicy::off());
+        let b = bundle.continue_to(&target, &TrackSettings::default(), &CertifyPolicy::off());
         assert_eq!(a.coeffs, b.coeffs, "same bundle + target → same bits");
     }
 
@@ -270,8 +255,8 @@ mod tests {
         .expect("faithful restore succeeds");
         assert_eq!(restored.coeffs(), bundle.coeffs());
         let target = PieriProblem::random(shape.clone(), &mut seeded_rng(99));
-        let a = bundle.continue_to(&target, &TrackSettings::default());
-        let b = restored.continue_to(&target, &TrackSettings::default());
+        let a = bundle.continue_to(&target, &TrackSettings::default(), &CertifyPolicy::off());
+        let b = restored.continue_to(&target, &TrackSettings::default(), &CertifyPolicy::off());
         assert_eq!(a.coeffs, b.coeffs, "restored bundle continues identically");
 
         // Wrong seed: well-formed coefficients that don't solve the
@@ -317,7 +302,12 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
         let poset = Poset::build(&shape);
         let problem = PieriProblem::random(shape, &mut rng);
-        let mut solution = solve_prepared(&problem, &poset, &TrackSettings::default());
+        let mut solution = solve_prepared(
+            &problem,
+            &poset,
+            &TrackSettings::default(),
+            &CertifyPolicy::off(),
+        );
         solution.coeffs.pop();
         let _ = StartBundle::from_parts(poset, problem, solution, Duration::ZERO);
     }

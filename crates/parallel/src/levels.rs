@@ -12,7 +12,6 @@
 //! so the benches can measure both effects against
 //! [`crate::solve_tree_parallel`].
 
-use pieri_certify::CertifyPolicy;
 use pieri_core::{JobRecord, PMap, Pattern, PieriProblem, PieriSolution, Poset};
 use pieri_num::Complex64;
 use pieri_tracker::TrackSettings;
@@ -43,43 +42,9 @@ pub fn solve_by_levels_parallel(
     problem: &PieriProblem,
     settings: &TrackSettings,
 ) -> (PieriSolution, LevelRunStats) {
-    let poset = Poset::build(problem.shape());
-    solve_by_levels_prepared(problem, &poset, settings)
-}
-
-/// [`solve_by_levels_prepared`] with a [`CertifyPolicy`] knob: tracking
-/// jobs re-track failed paths per `policy.retrack`, and the root
-/// solutions are certified/refined afterwards via
-/// [`pieri_core::certify_roots`].
-pub fn solve_by_levels_certified(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-    policy: &CertifyPolicy,
-) -> (PieriSolution, LevelRunStats) {
-    let track = policy.effective_settings(settings);
-    let (mut solution, stats) = solve_by_levels_prepared(problem, poset, &track);
-    pieri_core::certify_roots(problem, &mut solution, policy);
-    (solution, stats)
-}
-
-/// [`solve_by_levels_parallel`] against a pre-built poset (the shared
-/// shape-cache seam; see [`pieri_core::solve_prepared`]).
-///
-/// # Panics
-/// Panics when `poset` was built for a different shape.
-pub fn solve_by_levels_prepared(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-) -> (PieriSolution, LevelRunStats) {
     let t0 = Instant::now();
     let shape = problem.shape();
-    assert_eq!(
-        poset.shape(),
-        shape,
-        "poset was built for a different shape"
-    );
+    let poset = Poset::build(shape);
     let n = shape.conditions();
     let trivial = shape.trivial();
 
@@ -93,7 +58,7 @@ pub fn solve_by_levels_prepared(
     for k in 1..=n {
         let tl = Instant::now();
         // Materialise every job of this level: (pattern, child, child
-        // solution); `run_job` performs the pivot-zeroing embedding.
+        // solution); `run_job_with` performs the pivot-zeroing embedding.
         let mut jobs: Vec<(Pattern, Pattern, Vec<Complex64>)> = Vec::new();
         for pattern in poset.level(k) {
             for child in pattern.children() {

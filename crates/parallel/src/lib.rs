@@ -32,6 +32,13 @@
 //! tree scheduler sorts by job lineage; the data-parallel maps write
 //! results into disjoint slots in input order).
 //!
+//! The schedulers track and nothing else. Certification is the same
+//! post-pass the sequential solver runs: track with
+//! `policy.effective_settings(settings)`, then hand the solution to
+//! `pieri_core::certify_roots` (the service's shape cache takes the
+//! first half for its tree builds: it tracks with the policy's
+//! settings).
+//!
 //! Every scheduler returns a [`ParallelReport`] with per-worker busy
 //! times and message counts, the observables behind Tables I/II of the
 //! paper. Wall-clock *speedups* at cluster scale are produced by the
@@ -47,11 +54,7 @@ mod report;
 mod tree;
 mod workspace;
 
-pub use levels::{
-    solve_by_levels_certified, solve_by_levels_parallel, solve_by_levels_prepared, LevelRunStats,
-};
+pub use levels::{solve_by_levels_parallel, LevelRunStats};
 pub use paths::{track_paths_dynamic, track_paths_rayon, track_paths_static};
 pub use report::{ParallelReport, WorkerStats};
-pub use tree::{
-    solve_tree_parallel, solve_tree_parallel_certified, solve_tree_parallel_prepared, TreeRunStats,
-};
+pub use tree::{solve_tree_parallel, solve_tree_parallel_prepared, TreeRunStats};

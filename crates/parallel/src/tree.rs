@@ -37,7 +37,6 @@
 
 use crate::report::{ParallelReport, WorkerStats};
 use crossbeam::channel;
-use pieri_certify::CertifyPolicy;
 use pieri_core::{JobRecord, PMap, Pattern, PieriProblem, PieriSolution, Poset};
 use pieri_num::Complex64;
 use pieri_tracker::TrackSettings;
@@ -80,6 +79,12 @@ pub struct TreeRunStats {
 /// docs). A panic inside a slave's tracking job is resumed on the
 /// caller once the remaining in-flight jobs have drained, instead of
 /// hanging the master.
+///
+/// This and [`solve_tree_parallel_prepared`] keep their exact
+/// signatures because the repository benchmark (`perfbench`) calls
+/// them. Certification is a post-pass: track with
+/// `policy.effective_settings(settings)`, then call
+/// [`pieri_core::certify_roots`] on the result.
 pub fn solve_tree_parallel(
     problem: &PieriProblem,
     settings: &TrackSettings,
@@ -87,29 +92,6 @@ pub fn solve_tree_parallel(
 ) -> (PieriSolution, TreeRunStats) {
     let poset = Poset::build(problem.shape());
     solve_tree_parallel_prepared(problem, &poset, settings, workers)
-}
-
-/// [`solve_tree_parallel_prepared`] with a [`CertifyPolicy`] knob: every
-/// tracking job re-tracks failed paths per `policy.retrack` (each slave
-/// inherits it through its `TrackSettings`), and the root solutions —
-/// the ones the solve ships — are certified and (per policy)
-/// double-double-refined afterwards via [`pieri_core::certify_roots`].
-/// The certification pass is sequential: `d(m,p,q)` root polishes are
-/// trivial next to the tree they conclude.
-///
-/// # Panics
-/// As [`solve_tree_parallel_prepared`].
-pub fn solve_tree_parallel_certified(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-    workers: usize,
-    policy: &CertifyPolicy,
-) -> (PieriSolution, TreeRunStats) {
-    let track = policy.effective_settings(settings);
-    let (mut solution, stats) = solve_tree_parallel_prepared(problem, poset, &track, workers);
-    pieri_core::certify_roots(problem, &mut solution, policy);
-    (solution, stats)
 }
 
 /// [`solve_tree_parallel`] against a pre-built poset (the shared
@@ -310,6 +292,7 @@ pub fn solve_tree_parallel_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pieri_certify::CertifyPolicy;
     use pieri_core::Shape;
     use pieri_num::seeded_rng;
 
@@ -319,13 +302,10 @@ mod tests {
         let shape = Shape::new(2, 2, 1);
         let problem = PieriProblem::random(shape.clone(), &mut rng);
         let poset = Poset::build(&shape);
-        let (solution, _) = solve_tree_parallel_certified(
-            &problem,
-            &poset,
-            &TrackSettings::default(),
-            3,
-            &CertifyPolicy::full(),
-        );
+        let policy = CertifyPolicy::full();
+        let settings = policy.effective_settings(&TrackSettings::default());
+        let (mut solution, _) = solve_tree_parallel_prepared(&problem, &poset, &settings, 3);
+        pieri_core::certify_roots(&problem, &mut solution, &policy);
         assert_eq!(solution.maps.len(), 8);
         assert_eq!(solution.certificates.len(), 8);
         for (i, cert) in solution.certificates.iter().enumerate() {

@@ -1,10 +1,11 @@
 //! The job engine: a bounded queue feeding worker threads, with the
 //! heavy shape-level work running on the global work-stealing pool.
 //!
-//! Flow of a job: `submit` validates against the admission limits and
-//! enqueues (back-pressure: a full queue rejects with
-//! [`JobError::QueueFull`], a blocking variant waits for space); a
-//! worker pops it, resolves the shape through the [`ShapeCache`] — a
+//! Flow of a job: [`Engine::submit_async`], the one admission
+//! primitive, validates against the admission limits and enqueues
+//! (back-pressure: a full queue rejects with [`JobError::QueueFull`];
+//! [`Engine::run`], the one blocking adapter, waits for space instead);
+//! a worker pops it, resolves the shape through the [`ShapeCache`] — a
 //! miss runs the Pieri tree on the pool, a hit costs nothing — and
 //! tracks the `d(m,p,q)` continuation paths to the request's data.
 //! Shutdown is graceful: intake closes immediately, queued and in-flight
@@ -33,10 +34,7 @@ use crate::job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};
 use crate::sync::{rank, RankedMutex};
 use crossbeam::channel;
 use pieri_certify::{Certificate, CertifyPolicy};
-use pieri_control::{
-    solve_dynamic_state_space_certified, solve_dynamic_state_space_with_start,
-    verify_closed_loop_ss, StateSpace,
-};
+use pieri_control::{solve_dynamic_state_space_certified, verify_closed_loop_ss, StateSpace};
 use pieri_core::Shape;
 use pieri_num::{seeded_rng, Complex64};
 use pieri_trace::{Counter, Gauge, Histogram, Registry};
@@ -128,12 +126,9 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// How a finished job reaches its submitter: a channel for the blocking
-/// [`JobTicket`] API, a callback for the reactor's completion queue.
-enum Done {
-    Channel(channel::Sender<Result<JobResult, JobError>>),
-    Callback(Box<dyn FnOnce(Result<JobResult, JobError>) + Send + 'static>),
-}
+/// How a finished job reaches its submitter: called exactly once by
+/// whoever owns the job's completion (see [`InFlight`]).
+type Done = Box<dyn FnOnce(Result<JobResult, JobError>) + Send + 'static>;
 
 struct Queued {
     req: JobRequest,
@@ -311,26 +306,6 @@ pub struct CertifyCounters {
     pub failed: usize,
 }
 
-/// A handle to one submitted job; resolve it with [`JobTicket::wait`].
-pub struct JobTicket {
-    rx: channel::Receiver<Result<JobResult, JobError>>,
-}
-
-impl std::fmt::Debug for JobTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JobTicket")
-    }
-}
-
-impl JobTicket {
-    /// Blocks until the job finishes.
-    pub fn wait(self) -> Result<JobResult, JobError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(JobError::Internal("worker disappeared".into())))
-    }
-}
-
 /// Engine counters and gauges (the `/v1/stats` payload).
 #[derive(Debug, Clone)]
 pub struct EngineStats {
@@ -476,47 +451,21 @@ impl Engine {
         }
     }
 
-    /// Starts with the default configuration.
-    pub fn with_defaults() -> Engine {
-        Engine::start(EngineConfig::default())
-    }
-
-    /// Validates and enqueues a job; non-blocking back-pressure — a full
-    /// queue returns [`JobError::QueueFull`] immediately.
-    pub fn submit(&self, req: JobRequest) -> Result<JobTicket, JobError> {
-        let (tx, rx) = channel::unbounded();
-        self.enqueue(req, None, false, 0, Done::Channel(tx))?;
-        Ok(JobTicket { rx })
-    }
-
-    /// Validates and enqueues a job, waiting for queue space when full.
-    pub fn submit_blocking(&self, req: JobRequest) -> Result<JobTicket, JobError> {
-        let (tx, rx) = channel::unbounded();
-        self.enqueue(req, None, true, 0, Done::Channel(tx))?;
-        Ok(JobTicket { rx })
-    }
-
-    /// [`Engine::submit`] with an absolute deadline: lapsed-at-submit
-    /// sheds immediately, lapsed-in-queue answers without invoking the
-    /// solver, lapsed-mid-execution stops the tracker at the next path
-    /// boundary. The returned [`CancelToken`] cancels the job early
-    /// (e.g. when the client connection goes away).
-    pub fn submit_with_deadline(
-        &self,
-        req: JobRequest,
-        deadline: Option<Instant>,
-    ) -> Result<(JobTicket, CancelToken), JobError> {
-        let (tx, rx) = channel::unbounded();
-        let token = self.enqueue(req, deadline, false, 0, Done::Channel(tx))?;
-        Ok((JobTicket { rx }, token))
-    }
-
-    /// Completion-callback admission for the reactor: never blocks, and
-    /// never calls `on_done` when admission itself fails (the error
-    /// comes back synchronously for the caller to render). On success
-    /// `on_done` runs exactly once, on the worker thread that finished
-    /// the job — callbacks must be cheap and non-blocking-ish (the
-    /// reactor's pushes one completion and wakes an eventfd).
+    /// Validates and enqueues a job — the engine's one admission
+    /// primitive. Never blocks: a full queue returns
+    /// [`JobError::QueueFull`] immediately. Never calls `on_done` when
+    /// admission itself fails (the error comes back synchronously for
+    /// the caller to render). On success `on_done` runs exactly once,
+    /// on the worker thread that finished the job — callbacks must be
+    /// cheap and non-blocking-ish (the reactor's pushes one completion
+    /// and wakes an eventfd; a caller that wants to wait sends into a
+    /// channel).
+    ///
+    /// `deadline`: lapsed-at-submit sheds immediately, lapsed-in-queue
+    /// answers without invoking the solver, lapsed-mid-execution stops
+    /// the tracker at the next path boundary. The returned
+    /// [`CancelToken`] cancels the job early (e.g. when the client
+    /// connection goes away).
     ///
     /// `trace_id` (0 = untraced) tags the job's spans — queue wait,
     /// solve, tracker phases — so `/v1/trace/<id>` can reassemble the
@@ -528,18 +477,22 @@ impl Engine {
         trace_id: u64,
         on_done: impl FnOnce(Result<JobResult, JobError>) + Send + 'static,
     ) -> Result<CancelToken, JobError> {
-        self.enqueue(
-            req,
-            deadline,
-            false,
-            trace_id,
-            Done::Callback(Box::new(on_done)),
-        )
+        self.enqueue(req, deadline, false, trace_id, Box::new(on_done))
     }
 
-    /// Convenience: blocking submit + wait.
+    /// The one blocking adapter: waits for queue space (a full queue
+    /// never sheds here), then for the job's answer. A completion
+    /// dropped without being called answers
+    /// `JobError::Internal("worker disappeared")`.
     pub fn run(&self, req: JobRequest) -> Result<JobResult, JobError> {
-        self.submit_blocking(req)?.wait()
+        let (tx, rx) = channel::unbounded();
+        let on_done = move |result| {
+            // The receiver lives until `recv` below returns.
+            let _ = tx.send(result);
+        };
+        self.enqueue(req, None, true, 0, Box::new(on_done))?;
+        rx.recv()
+            .unwrap_or_else(|_| Err(JobError::Internal("worker disappeared".into())))
     }
 
     fn enqueue(
@@ -716,7 +669,7 @@ impl Engine {
             .chain(orphans.into_iter().map(|o| o.job))
         {
             self.shared.metrics.completed.inc();
-            deliver(job.done, Err(JobError::ShuttingDown));
+            (job.done)(Err(JobError::ShuttingDown));
         }
     }
 }
@@ -724,17 +677,6 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn deliver(done: Done, result: Result<JobResult, JobError>) {
-    match done {
-        // A dropped ticket (client gave up) is fine; ignore send
-        // errors.
-        Done::Channel(tx) => {
-            let _ = tx.send(result);
-        }
-        Done::Callback(cb) => cb(result),
     }
 }
 
@@ -915,7 +857,7 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
         if matches!(result, Err(JobError::DeadlineExceeded { .. })) {
             shared.metrics.expired.inc();
         }
-        deliver(done, result);
+        done(result);
     }
 }
 
@@ -1020,24 +962,18 @@ fn recover_inflight(shared: &Arc<Shared>, inflight: InFlight) {
         // ordering as the worker's completion path.
         shared.metrics.completed.inc();
         shared.metrics.expired.inc();
-        deliver(
-            job.done,
-            Err(JobError::DeadlineExceeded {
-                detail: "deadline lapsed while the job was recovered from a failed worker".into(),
-            }),
-        );
+        (job.done)(Err(JobError::DeadlineExceeded {
+            detail: "deadline lapsed while the job was recovered from a failed worker".into(),
+        }));
     } else if executing {
         // The solver was already running when the worker died or
         // wedged. Re-running would be answer-deterministic, but a job
         // that wedges its worker would then wedge every replacement —
         // shed it with a structured error instead.
         shared.metrics.completed.inc();
-        deliver(
-            job.done,
-            Err(JobError::Internal(
-                "worker failed mid-execution; job shed during fail-over".into(),
-            )),
-        );
+        (job.done)(Err(JobError::Internal(
+            "worker failed mid-execution; job shed during fail-over".into(),
+        )));
     } else {
         // The solver never started: requeue at the front, replay-safe.
         // The transient over-capacity this may cause is deliberate —
@@ -1061,7 +997,7 @@ fn backoff_delay(config: &SupervisorConfig, failures: u32) -> Duration {
 
 /// Runs one validated job; never panics across this frame.
 fn execute(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<JobResult, JobError> {
-    catch_unwind(AssertUnwindSafe(|| run_job(shared, req, queue_wait)))
+    catch_unwind(AssertUnwindSafe(|| solve_job(shared, req, queue_wait)))
         .unwrap_or_else(|payload| Err(JobError::Internal(panic_message(&payload))))
 }
 
@@ -1100,7 +1036,11 @@ fn reject_cancelled(cont: &pieri_core::InstanceContinuation) -> Result<(), JobEr
     Ok(())
 }
 
-fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<JobResult, JobError> {
+fn solve_job(
+    shared: &Shared,
+    req: &JobRequest,
+    queue_wait: Duration,
+) -> Result<JobResult, JobError> {
     let (m, p, q) = req.shape_dims();
     let shape = Shape::new(m, p, q);
     let (bundle, cache_hit) = shared.cache.get_or_build(&shape)?;
@@ -1110,18 +1050,18 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
         bundle.build_time()
     };
     let certify = req.certify();
-    let policy = shared.certify_policy;
+    let policy = if certify {
+        shared.certify_policy
+    } else {
+        CertifyPolicy::off()
+    };
     let t0 = Instant::now();
 
     let mut result = match req {
         JobRequest::SolvePieri { seed, .. } => {
             let mut rng = seeded_rng(*seed);
             let target = pieri_core::PieriProblem::random(shape.clone(), &mut rng);
-            let cont = if certify {
-                bundle.continue_to_certified(&target, &shared.settings, &policy)
-            } else {
-                bundle.continue_to(&target, &shared.settings)
-            };
+            let cont = bundle.continue_to(&target, &shared.settings, &policy);
             reject_cancelled(&cont)?;
             if certify {
                 shared.count_certificates(&cont.certificates, cont.stats.retracked);
@@ -1155,26 +1095,15 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
         } => {
             let ss = StateSpace::new(a.clone(), b.clone(), c.clone());
             let mut rng = seeded_rng(*seed);
-            let (comps, cont, _) = if certify {
-                solve_dynamic_state_space_certified(
-                    &ss,
-                    *q,
-                    poles,
-                    &mut rng,
-                    &bundle,
-                    &shared.settings,
-                    &policy,
-                )
-            } else {
-                solve_dynamic_state_space_with_start(
-                    &ss,
-                    *q,
-                    poles,
-                    &mut rng,
-                    &bundle,
-                    &shared.settings,
-                )
-            };
+            let (comps, cont, _) = solve_dynamic_state_space_certified(
+                &ss,
+                *q,
+                poles,
+                &mut rng,
+                &bundle,
+                &shared.settings,
+                &policy,
+            );
             reject_cancelled(&cont)?;
             if certify {
                 shared.count_certificates(&cont.certificates, cont.stats.retracked);
@@ -1220,6 +1149,7 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn small_engine(workers: usize, capacity: usize) -> Engine {
         Engine::start(EngineConfig {
@@ -1228,6 +1158,18 @@ mod tests {
             build_mode: BuildMode::Sequential,
             ..EngineConfig::default()
         })
+    }
+
+    type JobOutcome = Result<JobResult, JobError>;
+
+    /// Non-blocking admission with a channel callback; the receiver
+    /// yields the job's answer.
+    fn admit(engine: &Engine, req: JobRequest) -> Result<mpsc::Receiver<JobOutcome>, JobError> {
+        let (tx, rx) = mpsc::channel();
+        engine.submit_async(req, None, 0, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(rx)
     }
 
     fn solve_req(seed: u64) -> JobRequest {
@@ -1265,15 +1207,17 @@ mod tests {
     #[test]
     fn invalid_jobs_are_rejected_at_submit() {
         let engine = small_engine(1, 4);
-        let err = engine
-            .submit(JobRequest::SolvePieri {
+        let err = admit(
+            &engine,
+            JobRequest::SolvePieri {
                 m: 0,
                 p: 1,
                 q: 0,
                 seed: 0,
                 certify: false,
-            })
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), "invalid_request");
         assert_eq!(engine.stats().rejected, 1);
     }
@@ -1284,11 +1228,11 @@ mod tests {
         // first job (a cold solve), the queue holds the second, and the
         // third non-blocking submit must bounce.
         let engine = small_engine(1, 1);
-        let t1 = engine.submit(solve_req(1)).unwrap();
+        let t1 = admit(&engine, solve_req(1)).unwrap();
         let mut bounced = false;
         let mut tickets = vec![t1];
         for seed in 2..50 {
-            match engine.submit(solve_req(seed)) {
+            match admit(&engine, solve_req(seed)) {
                 Ok(t) => tickets.push(t),
                 Err(JobError::QueueFull) => {
                     bounced = true;
@@ -1299,7 +1243,7 @@ mod tests {
         }
         assert!(bounced, "bounded queue must eventually reject");
         for t in tickets {
-            assert!(t.wait().is_ok());
+            assert!(t.recv().unwrap().is_ok());
         }
         engine.shutdown();
     }
@@ -1308,14 +1252,14 @@ mod tests {
     fn shutdown_drains_queued_jobs_then_rejects() {
         let engine = small_engine(1, 8);
         let tickets: Vec<_> = (0..3)
-            .map(|seed| engine.submit(solve_req(seed)).unwrap())
+            .map(|seed| admit(&engine, solve_req(seed)).unwrap())
             .collect();
         engine.shutdown();
         for t in tickets {
-            assert!(t.wait().is_ok(), "queued jobs finish on shutdown");
+            assert!(t.recv().unwrap().is_ok(), "queued jobs finish on shutdown");
         }
         assert_eq!(
-            engine.submit(solve_req(99)).unwrap_err(),
+            admit(&engine, solve_req(99)).unwrap_err(),
             JobError::ShuttingDown
         );
     }

@@ -21,7 +21,9 @@
 //! * [`wire`] — the JSON codec for problems, compensators, errors and
 //!   diagnostics (on the vendored `minijson`);
 //! * [`engine`] — bounded job queue, worker threads, graceful shutdown,
-//!   per-job [`pieri_tracker::TrackStats`];
+//!   per-job [`pieri_tracker::TrackStats`]; [`Engine::submit_async`] is
+//!   the one admission primitive and [`Engine::run`] the one blocking
+//!   adapter;
 //! * [`cache`] — the shape-keyed [`pieri_core::StartBundle`] cache
 //!   (build-once-per-shape, hits measured);
 //! * [`store`] — versioned on-disk bundle persistence so a restarted
@@ -75,6 +77,6 @@ pub use pieri_chaos;
 pub use pieri_trace;
 
 pub use cache::{BuildMode, CacheStats, ShapeCache};
-pub use engine::{Engine, EngineConfig, EngineStats, JobTicket, SupervisorConfig};
+pub use engine::{Engine, EngineConfig, EngineStats, SupervisorConfig};
 pub use http::{retry_decision, AttemptOutcome, Client, RetryPolicy, Server, ServerOptions};
 pub use job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};

@@ -13,7 +13,7 @@ use pieri_service::pieri_chaos::{self, FaultPlan};
 use pieri_service::{
     BuildMode, Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, SupervisorConfig,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Serialises chaos tests and scopes their fault plan.
@@ -99,11 +99,22 @@ fn queue_lock_panic_recovers_under_concurrent_load() {
             // Submit everything up front so admissions race the panic,
             // then collect: every ticket must resolve successfully.
             let tickets: Vec<_> = (0..8)
-                .map(|seed| eng.submit(solve_req(seed)).expect("admitted"))
+                .map(|seed| {
+                    let (tx, rx) = mpsc::channel();
+                    eng.submit_async(solve_req(seed), None, 0, move |r| {
+                        let _ = tx.send(r);
+                    })
+                    .expect("admitted");
+                    rx
+                })
                 .collect();
             tickets
                 .into_iter()
-                .map(|t| t.wait().expect("answered despite the panic"))
+                .map(|t| {
+                    t.recv()
+                        .expect("answered")
+                        .expect("answered despite the panic")
+                })
                 .collect()
         }
     });

@@ -10,7 +10,7 @@ use pieri_service::{
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn engine_config(dir: Option<std::path::PathBuf>) -> EngineConfig {
@@ -250,15 +250,20 @@ fn connection_with_queued_job_outlives_the_sweep_budgets() {
     let busy: Vec<_> = [(3usize, 2usize), (4, 2)]
         .iter()
         .map(|&(m, p)| {
+            let (tx, rx) = mpsc::channel();
+            let req = JobRequest::SolvePieri {
+                m,
+                p,
+                q: 0,
+                seed: 1,
+                certify: false,
+            };
             engine
-                .submit(JobRequest::SolvePieri {
-                    m,
-                    p,
-                    q: 0,
-                    seed: 1,
-                    certify: false,
+                .submit_async(req, None, 0, move |r| {
+                    let _ = tx.send(r);
                 })
-                .expect("admit busy job")
+                .expect("admit busy job");
+            rx
         })
         .collect();
     let server = Server::start_with(
@@ -278,7 +283,7 @@ fn connection_with_queued_job_outlives_the_sweep_budgets() {
         .expect("queued request answered, not swept");
     assert_eq!(result.solutions, 2);
     for ticket in busy {
-        ticket.wait().expect("busy job");
+        ticket.recv().expect("answered").expect("busy job");
     }
     server.engine().shutdown();
     server.shutdown();

@@ -8,7 +8,7 @@ use minijson::Value;
 use pieri_service::{wire, BuildMode, Client, Engine, EngineConfig, JobError, JobRequest, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn engine(workers: usize, capacity: usize) -> Engine {
@@ -52,7 +52,11 @@ fn satellite_place(seed: u64) -> JobRequest {
 fn cancelled_in_queue_answers_without_touching_the_solver() {
     let eng = engine(1, 8);
     // Occupy the single worker with a cold job…
-    let busy = eng.submit(satellite_place(100)).expect("admit busy job");
+    let (busy_tx, busy) = mpsc::channel();
+    eng.submit_async(satellite_place(100), None, 0, move |r| {
+        let _ = busy_tx.send(r);
+    })
+    .expect("admit busy job");
     // …then queue a job for a shape the cache has never seen and cancel
     // it while it waits.
     let victim = JobRequest::SolvePieri {
@@ -62,12 +66,18 @@ fn cancelled_in_queue_answers_without_touching_the_solver() {
         seed: 1,
         certify: false,
     };
-    let (ticket, cancel) = eng
-        .submit_with_deadline(victim, None)
+    let (tx, ticket) = mpsc::channel();
+    let cancel = eng
+        .submit_async(victim, None, 0, move |r| {
+            let _ = tx.send(r);
+        })
         .expect("admit victim");
     cancel.cancel();
 
-    let err = ticket.wait().expect_err("cancelled job must not succeed");
+    let err = ticket
+        .recv()
+        .expect("answered")
+        .expect_err("cancelled job must not succeed");
     let JobError::DeadlineExceeded { detail } = &err else {
         panic!("expected DeadlineExceeded, got {err:?}");
     };
@@ -75,7 +85,7 @@ fn cancelled_in_queue_answers_without_touching_the_solver() {
         detail.contains("solver not invoked"),
         "expired-in-queue detail names the skipped solver: {detail}"
     );
-    busy.wait().expect("busy job unaffected");
+    busy.recv().expect("answered").expect("busy job unaffected");
 
     let stats = eng.stats();
     assert_eq!(stats.deadline_expired, 1);
@@ -97,10 +107,15 @@ fn deadline_lapse_never_yields_partial_results() {
     // the queue or between continuation paths — both must answer with
     // the structured error and withhold any partial solution set.
     let deadline = Instant::now() + Duration::from_millis(1);
-    let (ticket, _cancel) = eng
-        .submit_with_deadline(satellite_place(200), Some(deadline))
-        .expect("admit");
-    let err = ticket.wait().expect_err("lapsed deadline must not succeed");
+    let (tx, ticket) = mpsc::channel();
+    eng.submit_async(satellite_place(200), Some(deadline), 0, move |r| {
+        let _ = tx.send(r);
+    })
+    .expect("admit");
+    let err = ticket
+        .recv()
+        .expect("answered")
+        .expect_err("lapsed deadline must not succeed");
     let JobError::DeadlineExceeded { detail } = &err else {
         panic!("expected DeadlineExceeded, got {err:?}");
     };

@@ -3,9 +3,13 @@
 //! unset and `=1`, so every scenario is exercised with a full pool and
 //! a single-thread pool.
 
+use pieri_certify::{Certificate, CertifyPolicy, Verdict};
+use pieri_control::{satellite_plant, solve_dynamic_state_space_certified};
+use pieri_core::{PieriProblem, Shape};
 use pieri_num::seeded_rng;
 use pieri_service::{BuildMode, Engine, EngineConfig, JobRequest};
-use std::sync::Arc;
+use pieri_tracker::TrackSettings;
+use std::sync::{Arc, Barrier};
 
 fn engine(workers: usize, capacity: usize, mode: BuildMode) -> Engine {
     Engine::start(EngineConfig {
@@ -17,7 +21,11 @@ fn engine(workers: usize, capacity: usize, mode: BuildMode) -> Engine {
 }
 
 fn satellite_place(seed: u64) -> JobRequest {
-    let sat = pieri_control::satellite_plant(1.0);
+    satellite_place_certify(seed, false)
+}
+
+fn satellite_place_certify(seed: u64, certify: bool) -> JobRequest {
+    let sat = satellite_plant(1.0);
     let mut rng = seeded_rng(9);
     JobRequest::PlacePoles {
         a: sat.a.clone(),
@@ -26,8 +34,92 @@ fn satellite_place(seed: u64) -> JobRequest {
         q: 1,
         poles: pieri_control::conjugate_pole_set(5, &mut rng),
         seed,
-        certify: false,
+        certify,
     }
+}
+
+fn verdicts(certificates: &[Certificate]) -> Vec<&Verdict> {
+    certificates.iter().map(|c| &c.verdict).collect()
+}
+
+/// The engine answers exactly what the library computes from the cached
+/// bundle: for the same seed, `SolvePieri` equals
+/// `StartBundle::continue_to` and `PlacePoles` equals
+/// `solve_dynamic_state_space_certified`, bit for bit, with
+/// `certify: false` under `CertifyPolicy::off()` and with
+/// `certify: true` under the engine's default `CertifyPolicy::full()`.
+#[test]
+fn engine_answers_equal_library_calls_bitwise() {
+    let engine = engine(1, 8, BuildMode::Sequential);
+    let settings = TrackSettings::default();
+    for (certify, policy) in [(false, CertifyPolicy::off()), (true, CertifyPolicy::full())] {
+        let seed = 17;
+        let res = engine
+            .run(JobRequest::SolvePieri {
+                m: 2,
+                p: 2,
+                q: 0,
+                seed,
+                certify,
+            })
+            .unwrap();
+        let shape = Shape::new(2, 2, 0);
+        let (bundle, _) = engine.cache().get_or_build(&shape).unwrap();
+        let target = PieriProblem::random(shape, &mut seeded_rng(seed));
+        let cont = bundle.continue_to(&target, &settings, &policy);
+        assert_eq!(res.solutions, 2);
+        assert_eq!(res.coeffs, cont.coeffs, "SolvePieri, certify = {certify}");
+        assert_eq!(res.certificates.len(), if certify { 2 } else { 0 });
+        assert_eq!(verdicts(&res.certificates), verdicts(&cont.certificates));
+
+        let seed = 23;
+        let req = satellite_place_certify(seed, certify);
+        let JobRequest::PlacePoles { poles, .. } = req.clone() else {
+            unreachable!("satellite_place_certify builds a PlacePoles job");
+        };
+        let res = engine.run(req).unwrap();
+        let (bundle, _) = engine.cache().get_or_build(&Shape::new(2, 2, 1)).unwrap();
+        let (_, cont, _) = solve_dynamic_state_space_certified(
+            &satellite_plant(1.0),
+            1,
+            &poles,
+            &mut seeded_rng(seed),
+            &bundle,
+            &settings,
+            &policy,
+        );
+        assert_eq!(res.solutions, 8);
+        assert_eq!(res.coeffs, cont.coeffs, "PlacePoles, certify = {certify}");
+        assert_eq!(res.certificates.len(), if certify { 8 } else { 0 });
+        assert_eq!(verdicts(&res.certificates), verdicts(&cont.certificates));
+    }
+    engine.shutdown();
+}
+
+/// `run` is the blocking adapter: with one worker and a one-slot queue,
+/// four concurrent callers all wait for space instead of being shed.
+#[test]
+fn run_waits_for_queue_space() {
+    let engine = Arc::new(engine(1, 1, BuildMode::Sequential));
+    let start = Arc::new(Barrier::new(4));
+    let handles: Vec<_> = (0..4u64)
+        .map(|seed| {
+            let engine = engine.clone();
+            let start = start.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                engine.run(satellite_place(seed))
+            })
+        })
+        .collect();
+    for h in handles {
+        let res = h.join().expect("client thread");
+        assert!(res.is_ok(), "blocking run must not shed: {res:?}");
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.rejected, 0, "no admission was refused");
+    assert_eq!(stats.completed, 4);
+    engine.shutdown();
 }
 
 /// Same seed + shape twice: the second run must report a cache hit and

@@ -79,17 +79,20 @@ fn stats_snapshots_hold_invariants_under_load() {
                     // Valid work (one shape: warm after the first build).
                     let _ = engine.run(quick_job(worker * 1000 + round));
                     // Invalid request: rejected at admission.
-                    let _ = engine.submit(JobRequest::SolvePieri {
+                    let invalid = JobRequest::SolvePieri {
                         m: 0,
                         p: 0,
                         q: 0,
                         seed: 1,
                         certify: false,
-                    });
+                    };
+                    let _ = engine.submit_async(invalid, None, 0, |_| {});
                     // Already-lapsed deadline: shed at admission.
-                    let _ = engine.submit_with_deadline(
+                    let _ = engine.submit_async(
                         quick_job(round),
                         Some(Instant::now() - Duration::from_millis(1)),
+                        0,
+                        |_| {},
                     );
                     // Async flood against the 3-deep queue: some of
                     // these shed as QueueFull under concurrency.

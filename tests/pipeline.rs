@@ -4,6 +4,7 @@
 //! implementations (poset solver vs tree scheduler, charpoly vs
 //! eigenvalues, real tracker vs simulator accounting).
 
+use pieri::certify::CertifyPolicy;
 use pieri::control::{conjugate_pole_set, Plant, PolePlacement, StateSpace};
 use pieri::linalg::eigenvalues;
 use pieri::num::{seeded_rng, Complex64};
@@ -127,6 +128,7 @@ fn generic_start_system_reused_across_instances() {
             &start.coeffs,
             &target,
             &TrackSettings::default(),
+            &CertifyPolicy::off(),
         );
         // Both solutions reached (generic plants have proper solutions).
         assert_eq!(cont.maps.len() + cont.diverged + cont.failed, 2);
