@@ -78,7 +78,7 @@ fn bench_pieri_job(c: &mut Criterion) {
 fn bench_pool_batch_tracking(c: &mut Criterion) {
     // The whole cyclic-5 batch (120 paths) sequentially vs on the
     // work-stealing pool: the speedup here is what the vendored rayon's
-    // chunked par-map + per-worker deques buy over the old
+    // per-path pool jobs + per-worker deques buy over the old
     // single-mutex work queue (and over one core).
     use pieri_parallel::track_paths_rayon;
     let (h, starts) = cyclic5_setup();

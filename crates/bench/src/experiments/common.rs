@@ -6,8 +6,8 @@
 //! are pool-backed: they reflect the same scheduler the repository's
 //! parallel solvers run on (pool size = `available_parallelism`, or
 //! `PIERI_NUM_THREADS` when set) rather than an idealised sequential
-//! sweep. The collect is order-preserving, so the workload vector lines
-//! up with the start solutions either way.
+//! sweep. Results come back in input order, so the workload vector
+//! lines up with the start solutions either way.
 //!
 //! Deliberate tradeoff: on a multi-core pool each path's elapsed time
 //! includes contention from concurrently tracked neighbours (memory
@@ -19,11 +19,11 @@
 //! summary prints the pool width so a reader can judge the conditions.
 //! Set `PIERI_NUM_THREADS=1` for contention-free calibration.
 
-use pieri_num::{random_gamma, seeded_rng};
+use pieri_num::{random_gamma, seeded_rng, Complex64};
 use pieri_parallel::track_paths_rayon;
 use pieri_sim::Workload;
 use pieri_systems::{bilinear_system, cyclic, total_degree_start};
-use pieri_tracker::{LinearHomotopy, TrackSettings, TrackStats};
+use pieri_tracker::{LinearHomotopy, PathResult, TrackSettings, TrackStats};
 
 /// A measured workload: real per-path costs plus tracking statistics.
 pub struct MeasuredWorkload {
@@ -59,6 +59,16 @@ impl MeasuredWorkload {
     }
 }
 
+/// Tracks every path on the pool and summarises the run. No cancel
+/// scope is installed here, so every path is tracked.
+fn pool_stats(h: &LinearHomotopy, starts: &[Vec<Complex64>]) -> TrackStats {
+    let results: Vec<PathResult> = track_paths_rayon(h, starts, &TrackSettings::default())
+        .into_iter()
+        .flatten()
+        .collect();
+    TrackStats::from_results(&results)
+}
+
 /// Tracks all total-degree paths of cyclic-n on the fork-join pool and
 /// returns the measured workload. `n = 5` gives 120 paths in well under
 /// a second; `n = 6` gives 720 paths; `n = 7` gives 5,040.
@@ -67,8 +77,7 @@ pub fn measure_cyclic(n: usize, seed: u64) -> MeasuredWorkload {
     let target = cyclic(n);
     let start = total_degree_start(&target, &mut rng);
     let h = LinearHomotopy::new(start.system, target, random_gamma(&mut rng));
-    let results = track_paths_rayon(&h, &start.solutions, &TrackSettings::default());
-    let stats = TrackStats::from_results(&results);
+    let stats = pool_stats(&h, &start.solutions);
     MeasuredWorkload {
         name: format!("cyclic-{n} (total-degree start)"),
         workload: Workload::from_costs(stats.path_times.clone()),
@@ -85,8 +94,7 @@ pub fn measure_rps_analog(k: usize, seed: u64) -> MeasuredWorkload {
     let target = bilinear_system(k, &mut rng);
     let start = total_degree_start(&target, &mut rng);
     let h = LinearHomotopy::new(start.system, target, random_gamma(&mut rng));
-    let results = track_paths_rayon(&h, &start.solutions, &TrackSettings::default());
-    let stats = TrackStats::from_results(&results);
+    let stats = pool_stats(&h, &start.solutions);
     MeasuredWorkload {
         name: format!("bilinear-{k}+{k} RPS analog (total-degree start)"),
         workload: Workload::from_costs(stats.path_times.clone()),

@@ -26,7 +26,7 @@ use pieri_certify::{Certificate, CertifyPolicy};
 use pieri_linalg::{det, det_gradient, CMat};
 use pieri_num::Complex64;
 use pieri_tracker::{
-    track_path_with, Homotopy, HomotopyScratch, PathStatus, TrackSettings, TrackStats,
+    track_path_with, Homotopy, HomotopyScratch, PathResult, PathStatus, TrackSettings, TrackStats,
     TrackWorkspace,
 };
 
@@ -280,26 +280,89 @@ pub struct InstanceContinuation {
     /// per-job diagnostics the batch service reports).
     pub stats: TrackStats,
     /// One certificate per entry of `coeffs`/`maps`, in order — filled
-    /// by [`continue_to_instance`] under a policy that certifies or
-    /// refines, empty otherwise.
+    /// by [`InstanceContinuation::from_paths`] under a policy that
+    /// certifies or refines, empty otherwise.
     pub certificates: Vec<Certificate>,
     /// The run was cut short by a [`pieri_tracker::cancel`] scope at a
     /// path boundary: `maps`/`coeffs` hold only the paths finished
     /// before the stop (never a half-tracked path) and certification
-    /// was skipped. Callers that cannot use a partial set (the service)
-    /// turn this into a structured error.
+    /// was skipped. The sequential loop of [`continue_to_instance`]
+    /// stops in order, so its finished paths are a prefix; with pooled
+    /// tracking (`pieri_parallel::track_paths_rayon`) they are a subset,
+    /// whichever paths had started when the token lapsed. Callers that
+    /// cannot use a partial set (the service) turn this into a
+    /// structured error.
     pub cancelled: bool,
 }
 
+impl InstanceContinuation {
+    /// Assembles a continuation to `target` from its tracked paths, in
+    /// start-solution order; `None` marks a path that was never started
+    /// because a cancel token had lapsed, which makes the result
+    /// `cancelled`. Converged endpoints are certified and refined per
+    /// `policy` (skipped when cancelled), and the maps are built from
+    /// the refined coefficients.
+    ///
+    /// This is the one assembly step behind every path loop:
+    /// [`continue_to_instance`] feeds it from a sequential loop, the
+    /// service from per-path pool jobs, and equal paths give a bitwise
+    /// equal result.
+    pub fn from_paths(
+        target: &PieriProblem,
+        paths: Vec<Option<PathResult>>,
+        policy: &CertifyPolicy,
+    ) -> Self {
+        let mut coeffs = Vec::new();
+        let mut diverged = 0;
+        let mut failed = 0;
+        let mut stats = TrackStats::default();
+        let mut cancelled = false;
+        for r in paths {
+            let Some(r) = r else {
+                cancelled = true;
+                continue;
+            };
+            stats.record(&r);
+            match r.status {
+                PathStatus::Converged => coeffs.push(r.x),
+                PathStatus::Diverged { .. } => diverged += 1,
+                PathStatus::Failed { .. } => failed += 1,
+            }
+        }
+        // A cancelled run is abandoned work: skip certification.
+        let certificates = if cancelled {
+            Vec::new()
+        } else {
+            certify_solution_set(target, &mut coeffs, policy)
+        };
+        let root = target.shape().root();
+        let maps = coeffs.iter().map(|x| PMap::from_coeffs(&root, x)).collect();
+        InstanceContinuation {
+            maps,
+            coeffs,
+            diverged,
+            failed,
+            stats,
+            certificates,
+            cancelled,
+        }
+    }
+}
+
 /// Tracks all solutions of the generic `start` instance to the `target`
-/// instance. `start_coeffs` are the root-pattern coefficient vectors
-/// produced by [`crate::solve`] on `start`.
+/// instance, one path after another on this thread. `start_coeffs` are
+/// the root-pattern coefficient vectors produced by [`crate::solve`] on
+/// `start`.
 ///
 /// `policy` is the optional certification post-pass: failed paths are
 /// re-tracked per `policy.retrack`, converged endpoints are certified
 /// against the target conditions and (per policy) double-double-refined
 /// in place, with one [`Certificate`] per shipped solution.
 /// [`CertifyPolicy::off`] is the plain continuation, bit for bit.
+///
+/// Core stays free of any scheduler; the service tracks the same paths
+/// on the work-stealing pool and assembles them with
+/// [`InstanceContinuation::from_paths`].
 pub fn continue_to_instance(
     start: &PieriProblem,
     start_coeffs: &[Vec<Complex64>],
@@ -308,49 +371,21 @@ pub fn continue_to_instance(
     policy: &CertifyPolicy,
 ) -> InstanceContinuation {
     let h = InstanceHomotopy::new(start, target);
-    let root = start.shape().root();
     let track_settings = policy.effective_settings(settings);
-    let mut coeffs = Vec::new();
-    let mut diverged = 0;
-    let mut failed = 0;
-    let mut stats = TrackStats::default();
     // One workspace across all d(m,p,q) continuation paths. The
     // cancellation check sits at the path boundary: a lapsed deadline
-    // stops the run before the next path starts, so a cancelled result
-    // never contains a half-tracked solution.
+    // stops the run before the next path starts (the token never
+    // un-cancels, so every later path is skipped too), and a cancelled
+    // result never contains a half-tracked solution.
     let mut ws = TrackWorkspace::new();
-    let mut cancelled = false;
-    for x0 in start_coeffs {
-        if pieri_tracker::cancel::active_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let r = track_path_with(&h, x0, &track_settings, &mut ws);
-        stats.record(&r);
-        match r.status {
-            PathStatus::Converged => coeffs.push(r.x),
-            PathStatus::Diverged { .. } => diverged += 1,
-            PathStatus::Failed { .. } => failed += 1,
-        }
-    }
-    // Certify + refine the shipped endpoints (refinement updates the
-    // coefficient vectors in place; maps are built from the refined
-    // values). A cancelled run is abandoned work — skip certification.
-    let certificates = if cancelled {
-        Vec::new()
-    } else {
-        certify_solution_set(target, &mut coeffs, policy)
-    };
-    let maps = coeffs.iter().map(|x| PMap::from_coeffs(&root, x)).collect();
-    InstanceContinuation {
-        maps,
-        coeffs,
-        diverged,
-        failed,
-        stats,
-        certificates,
-        cancelled,
-    }
+    let paths = start_coeffs
+        .iter()
+        .map(|x0| {
+            (!pieri_tracker::cancel::active_cancelled())
+                .then(|| track_path_with(&h, x0, &track_settings, &mut ws))
+        })
+        .collect();
+    InstanceContinuation::from_paths(target, paths, policy)
 }
 
 #[cfg(test)]
@@ -481,6 +516,42 @@ mod tests {
         );
         assert!(!cont.cancelled);
         assert_eq!(cont.maps.len(), 2);
+    }
+
+    #[test]
+    fn from_paths_assembles_any_tracking_order_bitwise() {
+        // Paths tracked independently (each with its own workspace, as
+        // pool jobs are) assemble into exactly what the sequential loop
+        // returns; a path that never started makes the run cancelled.
+        let mut rng = seeded_rng(354);
+        let shape = Shape::new(2, 2, 1);
+        let start = PieriProblem::random(shape.clone(), &mut rng);
+        let target = PieriProblem::random(shape.clone(), &mut rng);
+        let sol = crate::solver::solve(&start);
+        let settings = TrackSettings::default();
+        let policy = CertifyPolicy::full();
+        let seq = continue_to_instance(&start, &sol.coeffs, &target, &settings, &policy);
+
+        let h = InstanceHomotopy::new(&start, &target);
+        let track = policy.effective_settings(&settings);
+        let mut paths: Vec<Option<PathResult>> = sol
+            .coeffs
+            .iter()
+            .rev()
+            .map(|x0| Some(track_path_with(&h, x0, &track, &mut TrackWorkspace::new())))
+            .collect();
+        paths.reverse();
+        let pooled = InstanceContinuation::from_paths(&target, paths.clone(), &policy);
+        assert_eq!(pooled.coeffs, seq.coeffs);
+        assert_eq!(pooled.certificates.len(), seq.certificates.len());
+        assert_eq!(pooled.stats.total_steps, seq.stats.total_steps);
+        assert!(!pooled.cancelled);
+
+        paths[1] = None;
+        let cut = InstanceContinuation::from_paths(&target, paths, &policy);
+        assert!(cut.cancelled);
+        assert_eq!(cut.stats.total(), sol.coeffs.len() - 1);
+        assert!(cut.certificates.is_empty(), "certification skipped");
     }
 
     #[test]

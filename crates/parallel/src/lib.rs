@@ -17,27 +17,34 @@
 //!   is ready once the solution at its parent node is known), an idle
 //!   slave queue for reactivation, and the leaf-count termination
 //!   protocol;
-//! * [`track_paths_rayon`] — a work-stealing baseline on the fork-join
-//!   pool, as an ablation against the hand-rolled schedulers (which are
-//!   the object of study and therefore stay hand-rolled);
+//! * [`track_paths_rayon`] — one fork-join pool job per path: an
+//!   ablation against the hand-rolled schedulers (which are the object
+//!   of study and therefore stay hand-rolled), and the service's warm
+//!   `SolvePieri` continuation;
 //! * [`solve_by_levels_parallel`] — the poset (level-synchronous)
 //!   organisation with a barrier per rank, instrumented for the memory
 //!   and idle-time comparison of Section III.C.
 //!
-//! All three pool consumers ([`track_paths_rayon`],
-//! [`solve_by_levels_parallel`], [`solve_tree_parallel`]) execute on the
-//! persistent work-stealing pool of the vendored `rayon` crate — sized
-//! by `available_parallelism`, overridable with `PIERI_NUM_THREADS` —
-//! and produce order-preserving, run-to-run deterministic output (the
-//! tree scheduler sorts by job lineage; the data-parallel maps write
-//! results into disjoint slots in input order).
+//! Four consumers execute on the persistent work-stealing pool of the
+//! vendored `rayon` crate, sized by `available_parallelism` and
+//! overridable with `PIERI_NUM_THREADS`: [`solve_tree_parallel`],
+//! [`solve_by_levels_parallel`], and, both through
+//! [`track_paths_rayon`], the Fig. 1–3 calibration in `pieri-bench` and
+//! the service engine's warm `SolvePieri` continuation. They produce
+//! order-preserving, run-to-run deterministic output: the tree
+//! scheduler sorts by job lineage, the level map writes results into
+//! disjoint slots in input order, and [`track_paths_rayon`] spawns one
+//! job per path that writes its own slot. Per-path jobs rather than
+//! chunks leave at most one path of tail imbalance, and each carries
+//! the submitter's cancel token and trace id onto its pool thread.
 //!
 //! The schedulers track and nothing else. Certification is the same
 //! post-pass the sequential solver runs: track with
 //! `policy.effective_settings(settings)`, then hand the solution to
-//! `pieri_core::certify_roots` (the service's shape cache takes the
-//! first half for its tree builds: it tracks with the policy's
-//! settings).
+//! `pieri_core::certify_roots`, or for a continuation's paths to
+//! `pieri_core::InstanceContinuation::from_paths` (the service's shape
+//! cache takes the first half for its tree builds: it tracks with the
+//! policy's settings).
 //!
 //! Every scheduler returns a [`ParallelReport`] with per-worker busy
 //! times and message counts, the observables behind Tables I/II of the

@@ -4,8 +4,9 @@ use crate::report::{ParallelReport, WorkerStats};
 use crate::workspace::with_worker_workspace;
 use crossbeam::channel;
 use pieri_num::Complex64;
-use pieri_tracker::{track_path_with, Homotopy, PathResult, TrackSettings, TrackWorkspace};
-use rayon::prelude::*;
+use pieri_tracker::{
+    cancel, track_path_with, CancelToken, Homotopy, PathResult, TrackSettings, TrackWorkspace,
+};
 use std::time::Instant;
 
 /// Static workload distribution: the `starts` are split into `workers`
@@ -157,23 +158,46 @@ pub fn track_paths_dynamic<H: Homotopy>(
     (results, report)
 }
 
-/// Work-stealing baseline on the Rayon fork-join pool (ablation: the
-/// idiomatic data-parallel formulation versus the paper's explicit
-/// master/slave protocol).
+/// Work-stealing tracking on the Rayon fork-join pool: one pool job
+/// per path.
 ///
-/// Paths are tracked in chunks on the persistent global pool (sized by
-/// `available_parallelism`, overridable with `PIERI_NUM_THREADS`); the
-/// collect is order-preserving, so the output is identical run to run
-/// regardless of which worker tracks which chunk.
+/// This is both the ablation against the hand-rolled schedulers and
+/// the service's warm `SolvePieri` continuation. Per-path jobs, rather
+/// than chunks of paths, leave at most one path of tail imbalance when
+/// path costs vary. Each job tracks with its pool thread's workspace and
+/// writes its own output slot, so the result is in input order and
+/// bitwise identical to tracking the paths one after another, whatever
+/// the pool size or the stealing interleaving.
+///
+/// Each job runs under the submitting thread's context: the innermost
+/// [`pieri_tracker::cancel`] token and (with the tracker's `trace`
+/// feature) the current trace id, so the `track.path` spans land under
+/// the submitter's request. The token is checked before each path
+/// starts; a path that never started because the token had lapsed is
+/// `None`, and a started path always runs to its end. Outside any
+/// cancel scope every entry is `Some`.
 pub fn track_paths_rayon<H: Homotopy>(
     h: &H,
     starts: &[Vec<Complex64>],
     settings: &TrackSettings,
-) -> Vec<PathResult> {
-    starts
-        .par_iter()
-        .map(|s| with_worker_workspace(|ws| track_path_with(h, s, settings, ws)))
-        .collect()
+) -> Vec<Option<PathResult>> {
+    let token = cancel::active_token();
+    let trace_id = pieri_tracker::current_trace_id();
+    let mut out: Vec<Option<PathResult>> = (0..starts.len()).map(|_| None).collect();
+    rayon::scope(|s| {
+        for (slot, x0) in out.iter_mut().zip(starts) {
+            let token = &token;
+            s.spawn(move |_| {
+                if token.as_ref().is_some_and(CancelToken::is_cancelled) {
+                    return;
+                }
+                *slot = Some(pieri_tracker::with_trace_id(trace_id, || {
+                    with_worker_workspace(|ws| track_path_with(h, x0, settings, ws))
+                }));
+            });
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -211,6 +235,14 @@ mod tests {
         (h, starts)
     }
 
+    /// Unwraps a run outside any cancel scope, where every path starts.
+    fn all_tracked(results: Vec<Option<PathResult>>) -> Vec<PathResult> {
+        results
+            .into_iter()
+            .map(|r| r.expect("no cancel scope: every path is tracked"))
+            .collect()
+    }
+
     fn endpoints_sorted(results: &[PathResult]) -> Vec<Complex64> {
         let mut xs: Vec<Complex64> = results.iter().map(|r| r.x[0]).collect();
         xs.sort_by(|a, b| a.re.total_cmp(&b.re).then(a.im.total_cmp(&b.im)));
@@ -244,7 +276,7 @@ mod tests {
         let (h, starts) = setup(6, 701);
         let settings = TrackSettings::default();
         let (seq, _) = pieri_tracker::track_all(&h, &starts, &settings);
-        let par = track_paths_rayon(&h, &starts, &settings);
+        let par = all_tracked(track_paths_rayon(&h, &starts, &settings));
         let e0 = endpoints_sorted(&seq);
         let e1 = endpoints_sorted(&par);
         for i in 0..e0.len() {
@@ -312,18 +344,46 @@ mod tests {
 
     #[test]
     fn rayon_output_is_deterministic_and_ordered() {
-        // The pool's chunked map writes into disjoint slots, so repeated
-        // runs must agree bitwise and in input order with the sequential
-        // tracker, whatever the stealing interleaving was.
+        // Every path job writes its own slot, so repeated runs must
+        // agree bitwise and in input order with the sequential tracker,
+        // whatever the stealing interleaving was.
         let (h, starts) = setup(7, 707);
         let settings = TrackSettings::default();
         let (seq, _) = pieri_tracker::track_all(&h, &starts, &settings);
-        let a = track_paths_rayon(&h, &starts, &settings);
-        let b = track_paths_rayon(&h, &starts, &settings);
+        let a = all_tracked(track_paths_rayon(&h, &starts, &settings));
+        let b = all_tracked(track_paths_rayon(&h, &starts, &settings));
         assert_eq!(a.len(), seq.len());
         for i in 0..a.len() {
             assert_eq!(a[i].x, b[i].x, "path {i} bitwise stable across runs");
             assert_eq!(a[i].x, seq[i].x, "path {i} matches sequential order");
         }
+    }
+
+    #[test]
+    fn rayon_honours_the_submitters_cancel_scope() {
+        // The token lives in a thread-local scope on the submitting
+        // thread; the pool's threads only see it because
+        // `track_paths_rayon` captures it. A lapsed token starts no path at all.
+        let (h, starts) = setup(6, 708);
+        let settings = TrackSettings::default();
+        let token = pieri_tracker::CancelToken::new();
+        token.cancel();
+        let cut =
+            pieri_tracker::cancel::scope(&token, || track_paths_rayon(&h, &starts, &settings));
+        assert_eq!(cut.len(), starts.len());
+        assert!(cut.iter().all(Option::is_none), "no path started");
+
+        let live = pieri_tracker::CancelToken::new();
+        let full =
+            pieri_tracker::cancel::scope(&live, || track_paths_rayon(&h, &starts, &settings));
+        assert!(
+            full.iter().all(Option::is_some),
+            "a live token stops nothing"
+        );
+        let free = track_paths_rayon(&h, &starts, &settings);
+        assert!(
+            free.iter().all(Option::is_some),
+            "no scope: every path runs"
+        );
     }
 }

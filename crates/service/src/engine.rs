@@ -7,7 +7,9 @@
 //! [`Engine::run`], the one blocking adapter, waits for space instead);
 //! a worker pops it, resolves the shape through the [`ShapeCache`] — a
 //! miss runs the Pieri tree on the pool, a hit costs nothing — and
-//! tracks the `d(m,p,q)` continuation paths to the request's data.
+//! tracks the `d(m,p,q)` continuation paths to the request's data (a
+//! `SolvePieri` job as one pool job per path, a `PlacePoles` job one
+//! path after another on the worker).
 //! Shutdown is graceful: intake closes immediately, queued and in-flight
 //! jobs finish, workers exit, and every late submitter gets
 //! [`JobError::ShuttingDown`].
@@ -35,8 +37,9 @@ use crate::sync::{rank, RankedMutex};
 use crossbeam::channel;
 use pieri_certify::{Certificate, CertifyPolicy};
 use pieri_control::{solve_dynamic_state_space_certified, verify_closed_loop_ss, StateSpace};
-use pieri_core::Shape;
+use pieri_core::{InstanceContinuation, InstanceHomotopy, Shape};
 use pieri_num::{seeded_rng, Complex64};
+use pieri_parallel::track_paths_rayon;
 use pieri_trace::{Counter, Gauge, Histogram, Registry};
 use pieri_tracker::{CancelToken, TrackSettings};
 use std::collections::VecDeque;
@@ -49,9 +52,10 @@ use std::time::{Duration, Instant};
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads popping the job queue. Each worker tracks its
-    /// job's continuation paths itself; cold-shape tree solves fan out
-    /// on the global pool regardless of this number.
+    /// Worker threads popping the job queue. A `SolvePieri` job's
+    /// continuation paths and cold-shape tree solves fan out on the
+    /// global pool regardless of this number; a `PlacePoles` job tracks
+    /// its continuation on its worker.
     pub workers: usize,
     /// Bounded queue capacity (back-pressure beyond this).
     pub queue_capacity: usize,
@@ -1023,7 +1027,7 @@ fn require_certified(certs: &[Certificate], failed_paths: usize) -> Result<(), J
 /// abandoned work: the partial solution set is withheld and the job
 /// answers with the structured deadline error (mirroring the queued
 /// case — either the client gets the whole answer or a clean error).
-fn reject_cancelled(cont: &pieri_core::InstanceContinuation) -> Result<(), JobError> {
+fn reject_cancelled(cont: &InstanceContinuation) -> Result<(), JobError> {
     if cont.cancelled {
         return Err(JobError::DeadlineExceeded {
             detail: format!(
@@ -1061,7 +1065,17 @@ fn solve_job(
         JobRequest::SolvePieri { seed, .. } => {
             let mut rng = seeded_rng(*seed);
             let target = pieri_core::PieriProblem::random(shape.clone(), &mut rng);
-            let cont = bundle.continue_to(&target, &shared.settings, &policy);
+            // The d(m,p,q) paths run as one pool job each, under this
+            // job's cancel token and trace id; the assembly is the one
+            // `StartBundle::continue_to` runs, so the answer is bitwise
+            // the sequential library call's.
+            let h = InstanceHomotopy::new(bundle.problem(), &target);
+            let paths = track_paths_rayon(
+                &h,
+                bundle.coeffs(),
+                &policy.effective_settings(&shared.settings),
+            );
+            let cont = InstanceContinuation::from_paths(&target, paths, &policy);
             reject_cancelled(&cont)?;
             if certify {
                 shared.count_certificates(&cont.certificates, cont.stats.retracked);

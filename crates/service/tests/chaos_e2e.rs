@@ -126,7 +126,11 @@ fn queue_lock_panic_recovers_under_concurrent_load() {
     assert_eq!(stats.completed, 8, "every job answered exactly once");
     assert_eq!(guard.plan.fired("worker.panic"), 1);
     eng.shutdown();
-    drop(guard);
+    // Clear the plan but keep the guard: releasing the lock here would
+    // let the next test install its plan while the clean engine below
+    // still runs jobs, and that engine would take the next test's
+    // faults.
+    pieri_chaos::clear();
 
     // Bitwise determinism: a fault-free engine answers identically.
     let clean_eng = Arc::new(engine_with(2, fast_supervisor()));
@@ -291,7 +295,9 @@ fn torn_store_write_rebuilds_bitwise_identically() {
     assert!(!cold.cache_hit);
     eng.shutdown();
     assert_eq!(guard.plan.fired("store.write.torn"), 1);
-    drop(guard); // chaos off for the restart
+    // Chaos off for the restart; the guard stays held so no other
+    // test's plan can reach this engine.
+    pieri_chaos::clear();
 
     let eng = Engine::start(config());
     let rebuilt = eng.run(solve_req(3)).expect("post-crash solve");

@@ -103,31 +103,47 @@ fn cancelled_in_queue_answers_without_touching_the_solver() {
 #[test]
 fn deadline_lapse_never_yields_partial_results() {
     let eng = engine(1, 8);
-    // 1 ms against a cold multi-path job: the deadline lapses either in
-    // the queue or between continuation paths — both must answer with
-    // the structured error and withhold any partial solution set.
-    let deadline = Instant::now() + Duration::from_millis(1);
-    let (tx, ticket) = mpsc::channel();
-    eng.submit_async(satellite_place(200), Some(deadline), 0, move |r| {
-        let _ = tx.send(r);
-    })
-    .expect("admit");
-    let err = ticket
-        .recv()
-        .expect("answered")
-        .expect_err("lapsed deadline must not succeed");
-    let JobError::DeadlineExceeded { detail } = &err else {
-        panic!("expected DeadlineExceeded, got {err:?}");
+    // The satellite's continuation runs one path after another on the
+    // worker; a SolvePieri continuation runs its paths as pool jobs.
+    let cold_solve = JobRequest::SolvePieri {
+        m: 3,
+        p: 2,
+        q: 0,
+        seed: 200,
+        certify: false,
     };
-    assert!(
-        detail.contains("solver not invoked") || detail.contains("partial results withheld"),
-        "either shed in queue or stopped at a path boundary: {detail}"
-    );
-    assert_eq!(eng.stats().deadline_expired, 1);
+    for (k, (job, roots)) in [(satellite_place(200), 8), (cold_solve, 5)]
+        .into_iter()
+        .enumerate()
+    {
+        // 1 ms against a cold multi-path job: the deadline lapses either
+        // in the queue or between continuation paths — both must answer
+        // with the structured error and withhold any partial solution
+        // set.
+        let deadline = Instant::now() + Duration::from_millis(1);
+        let (tx, ticket) = mpsc::channel();
+        eng.submit_async(job.clone(), Some(deadline), 0, move |r| {
+            let _ = tx.send(r);
+        })
+        .expect("admit");
+        let err = ticket
+            .recv()
+            .expect("answered")
+            .expect_err("lapsed deadline must not succeed");
+        let JobError::DeadlineExceeded { detail } = &err else {
+            panic!("expected DeadlineExceeded, got {err:?}");
+        };
+        assert!(
+            detail.contains("solver not invoked") || detail.contains("partial results withheld"),
+            "either shed in queue or stopped at a path boundary: {detail}"
+        );
+        assert_eq!(eng.stats().deadline_expired, k + 1);
 
-    // The engine is unharmed: the same job without a deadline succeeds.
-    let full = eng.run(satellite_place(200)).expect("no-deadline rerun");
-    assert_eq!(full.solutions, 8);
+        // The engine is unharmed: the same job without a deadline
+        // succeeds.
+        let full = eng.run(job).expect("no-deadline rerun");
+        assert_eq!(full.solutions, roots);
+    }
     eng.shutdown();
 }
 

@@ -73,6 +73,13 @@ fn trace_id_resolves_to_span_tree() {
     pieri_trace::install(TraceConfig::default());
     let (server, addr) = boot();
 
+    // Warm the shape first, so the traced solve below is a cache hit:
+    // its `track.path` spans then come from the continuation's pool
+    // jobs alone, not from a bundle build on the worker thread.
+    let warm_up = r#"{"type":"solve_pieri","m":2,"p":2,"q":0,"seed":6,"certify":false}"#;
+    let (status, _, body) = exchange(addr, "POST", "/v1/solve", &[], warm_up);
+    assert_eq!(status, 200, "warm-up solve failed: {body}");
+
     // A client-minted trace id rides the request and comes back
     // normalized on the response.
     let job = r#"{"type":"solve_pieri","m":2,"p":2,"q":0,"seed":7,"certify":false}"#;
@@ -103,7 +110,9 @@ fn trace_id_resolves_to_span_tree() {
         .iter()
         .filter_map(|s| s.get("name").and_then(Value::as_str))
         .collect();
-    for expected in ["queue.wait", "track", "render", "request"] {
+    // `track.path` spans are recorded on the pool threads that track
+    // the continuation's paths, under the id the worker hands over.
+    for expected in ["queue.wait", "track", "track.path", "render", "request"] {
         assert!(
             names.contains(&expected),
             "span tree missing {expected:?}: {names:?}"

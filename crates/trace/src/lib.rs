@@ -14,8 +14,9 @@
 //!   registered before its superset can never be observed ahead of
 //!   it) and render to Prometheus text exposition format.
 //! * [`span`] — structured spans and events recorded into per-thread
-//!   ring buffers via `try_lock` (a contended writer drops the record
-//!   and bumps a counter; it never parks). Consumers compile these to
+//!   ring buffers via briefly retried `try_lock` (a writer still
+//!   contended after the retries drops the record and bumps a counter;
+//!   it never parks). Consumers compile these to
 //!   `#[inline(always)]` no-ops unless their `trace` feature is on —
 //!   the same pattern as `pieri-chaos`.
 //! * [`export`] — Chrome `trace_event` JSON export of the ring

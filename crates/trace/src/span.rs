@@ -1,9 +1,13 @@
 //! Structured spans and events over per-thread ring buffers.
 //!
-//! Recording discipline: a writer takes `try_lock` on its own thread's
-//! ring (and on the recent-trace store) — it **never parks**. A
-//! contended push is dropped and counted, so instrumentation can sit
-//! next to nonblocking reactor code without violating its guarantees.
+//! Recording discipline: a writer reads the installed state through a
+//! thread-local cache keyed on the install generation, and takes its
+//! own thread's ring and the recent-trace store with `try_lock`,
+//! retried briefly (spin, then yield) — it **never parks**. A push
+//! still contended after the retries is dropped and counted, so
+//! instrumentation can sit next to nonblocking reactor code without
+//! violating its guarantees, and concurrent recorders do not drop each
+//! other's spans.
 //! Both locks rank *below* every service lock (`trace-ring` = 2,
 //! `trace-store` = 3, under `reactor-inbox` = 4), which forces span
 //! sites to live outside service critical sections.
@@ -17,8 +21,8 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError};
+use std::time::{Duration, Instant};
 
 /// Runtime configuration for the span layer.
 #[derive(Clone, Debug)]
@@ -107,8 +111,9 @@ struct Store {
 
 pub(crate) struct TraceState {
     pub(crate) config: TraceConfig,
-    /// Monotonic install generation; thread-local ring caches key on it
-    /// so the hot path never touches the registration lock.
+    /// Monotonic install generation; the thread-local caches key on it
+    /// so the recording path never touches the state cell or the
+    /// registration lock in steady state.
     gen: u64,
     pub(crate) rings: Mutex<Vec<Arc<ThreadRing>>>,
     store: Mutex<Store>,
@@ -119,8 +124,21 @@ pub(crate) struct TraceState {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static DEEP: AtomicBool = AtomicBool::new(false);
 static GEN: AtomicU64 = AtomicU64::new(0);
-/// Records dropped because the state cell was contended mid-install.
+/// Records dropped because an install was in flight (the state cell
+/// still held the previous generation, or stayed contended).
 static DROPPED_RACING_INSTALL: AtomicU64 = AtomicU64::new(0);
+/// Store appends dropped: the store stayed contended past the brief
+/// retry, or the trace already held `max_spans_per_trace` spans.
+static DROPPED_STORE: AtomicU64 = AtomicU64::new(0);
+
+/// Contended `try_lock` attempts that spin before the retry starts
+/// yielding the core.
+const SPIN_ATTEMPTS: u32 = 16;
+/// How long a recorder keeps yielding and retrying a contended lock
+/// before it drops the record. The critical sections are short (a push,
+/// at worst a vector regrowth); the yields let a preempted holder
+/// finish one.
+const LOCK_PATIENCE: Duration = Duration::from_millis(2);
 
 fn state_cell() -> &'static Mutex<Option<Arc<TraceState>>> {
     static CELL: OnceLock<Mutex<Option<Arc<TraceState>>>> = OnceLock::new();
@@ -221,20 +239,30 @@ pub(crate) fn active() -> Option<Arc<TraceState>> {
         .clone()
 }
 
-/// The recording-path variant of [`active`]: `try_lock` only, so span
-/// drops never park behind an in-flight install/clear/export.
+/// Takes `lock` with bounded `try_lock` retries: spins, then yields
+/// for up to [`LOCK_PATIENCE`], and gives up (`None`) after that. Never
+/// parks on the lock. A poisoned lock is taken anyway — a span record
+/// cannot leave any of these structures half-written.
 // lint:nonblocking
-fn active_for_record() -> Option<Arc<TraceState>> {
-    // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load behind `enabled`; the name-keyed call graph resolves `load` to the store's file loader
-    if !enabled() {
-        return None;
-    }
-    match state_cell().try_lock() {
-        Ok(state) => state.clone(),
-        Err(_) => {
-            DROPPED_RACING_INSTALL.fetch_add(1, Ordering::Relaxed);
-            None
+fn try_lock_briefly<T>(lock: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    let mut spins = 0;
+    let mut yielding_since = None;
+    loop {
+        match lock.try_lock() {
+            Ok(guard) => return Some(guard),
+            Err(TryLockError::Poisoned(e)) => return Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => {}
         }
+        if spins < SPIN_ATTEMPTS {
+            spins += 1;
+            std::hint::spin_loop();
+            continue;
+        }
+        let since: &mut Instant = yielding_since.get_or_insert_with(Instant::now);
+        if since.elapsed() >= LOCK_PATIENCE {
+            return None;
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -248,28 +276,47 @@ pub fn export_path() -> Option<PathBuf> {
     active().and_then(|s| s.config.export_path.clone())
 }
 
+/// One thread's view of the current installation: the state and this
+/// thread's ring in it.
+struct Local {
+    state: Arc<TraceState>,
+    ring: Arc<ThreadRing>,
+}
+
 thread_local! {
-    static RING: Cell<Option<(u64, Arc<ThreadRing>)>> = const { Cell::new(None) };
+    /// Re-read only when the install generation moves, so steady-state
+    /// recording takes no shared lock but its own ring's and the
+    /// store's. It keeps a cleared installation alive until this thread
+    /// records under the next one.
+    static LOCAL: Cell<Option<Local>> = const { Cell::new(None) };
     static TID: Cell<u32> = const { Cell::new(0) };
     static CUR_TRACE: Cell<u64> = const { Cell::new(0) };
     static DEPTH: Cell<u16> = const { Cell::new(0) };
 }
 
-/// Returns (and lazily registers) this thread's ring for the current
-/// installation. The generation-keyed thread-local cache means the
-/// registration lock is only taken once per thread per install — the
-/// steady-state path is two thread-local reads.
-fn thread_ring(state: &TraceState) -> Arc<ThreadRing> {
-    let cached = RING.with(|r| {
-        let v = r.take();
-        r.set(v.clone());
-        v
-    });
-    if let Some((gen, ring)) = cached {
-        if gen == state.gen {
-            return ring;
-        }
+/// The state of installation `gen`, read from the state cell on a
+/// thread's first record after an install. `None` when nothing is
+/// installed, or when the install of `gen` is still in flight; the
+/// latter drops the record and counts it.
+// lint:nonblocking
+fn installed_state(gen: u64) -> Option<Arc<TraceState>> {
+    let state = {
+        let Some(cell) = try_lock_briefly(state_cell()) else {
+            DROPPED_RACING_INSTALL.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        cell.clone()?
+    };
+    if state.gen != gen {
+        DROPPED_RACING_INSTALL.fetch_add(1, Ordering::Relaxed);
+        return None;
     }
+    Some(state)
+}
+
+/// Registers a fresh ring for this thread in `state`: once per thread
+/// per install.
+fn register_ring(state: &TraceState) -> Arc<ThreadRing> {
     let ring = Arc::new(ThreadRing {
         buf: Mutex::new(Ring {
             records: Vec::with_capacity(state.config.ring_capacity.max(1)),
@@ -290,33 +337,37 @@ fn thread_ring(state: &TraceState) -> Arc<ThreadRing> {
             t.set(state.next_tid.fetch_add(1, Ordering::Relaxed));
         }
     });
-    RING.with(|r| r.set(Some((state.gen, ring.clone()))));
     ring
 }
 
-/// Pushes one record into this thread's ring. Never parks: a contended
-/// ring drops the record and bumps the drop counter.
+/// Pushes one record into this thread's ring. Never parks: a ring
+/// still contended (by a reader) after the brief retry drops the record
+/// and bumps the drop counter.
 // lint:nonblocking
 fn push_ring(ring: &ThreadRing, rec: SpanRecord) {
-    match ring.buf.try_lock() {
-        Ok(mut buf) => buf.push(rec),
-        Err(_) => {
+    match try_lock_briefly(&ring.buf) {
+        Some(mut buf) => buf.push(rec),
+        None => {
             ring.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Appends a record to its trace's entry in the recent-trace store.
-/// Never parks; contended or over-budget appends are dropped.
+/// Never parks; appends still contended after the brief retry, or over
+/// the per-trace budget, are dropped and counted.
 // lint:nonblocking
 fn push_store(state: &TraceState, rec: SpanRecord) {
     // lint:lock-rank(trace-store, 3)
-    let Ok(mut store) = state.store.try_lock() else {
+    let Some(mut store) = try_lock_briefly(&state.store) else {
+        DROPPED_STORE.fetch_add(1, Ordering::Relaxed);
         return;
     };
     if let Some(spans) = store.traces.get_mut(&rec.trace_id) {
         if spans.len() < state.config.max_spans_per_trace {
             spans.push(rec);
+        } else {
+            DROPPED_STORE.fetch_add(1, Ordering::Relaxed);
         }
         return;
     }
@@ -329,14 +380,27 @@ fn push_store(state: &TraceState, rec: SpanRecord) {
 }
 
 fn record(rec: SpanRecord) {
-    let Some(state) = active_for_record() else {
+    if !enabled() {
         return;
-    };
-    let ring = thread_ring(&state);
-    push_ring(&ring, rec);
-    if rec.trace_id != 0 {
-        push_store(&state, rec);
     }
+    // The generation only grows, so an install since this thread's last
+    // record always shows up as a mismatch with its cached state.
+    let gen = GEN.load(Ordering::Relaxed);
+    let local = match LOCAL.with(Cell::take) {
+        Some(local) if local.state.gen == gen => local,
+        _ => {
+            let Some(state) = installed_state(gen) else {
+                return;
+            };
+            let ring = register_ring(&state);
+            Local { state, ring }
+        }
+    };
+    push_ring(&local.ring, rec);
+    if rec.trace_id != 0 {
+        push_store(&local.state, rec);
+    }
+    LOCAL.with(|c| c.set(Some(local)));
 }
 
 /// The spans recorded so far for `trace_id`, ordered by start time, or
@@ -565,6 +629,63 @@ mod tests {
         assert_eq!(inner.depth, 1);
         assert!(inner.start_us >= outer.start_us);
         assert!(inner.dur_us <= outer.dur_us);
+        clear();
+    }
+
+    /// Records dropped so far: by the current installation's rings, by
+    /// the store, and while an install was in flight.
+    fn dropped_records() -> u64 {
+        let state = active().expect("tracing installed");
+        let rings: u64 = state
+            .rings
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| r.dropped.load(Ordering::Relaxed))
+            .sum();
+        rings
+            + DROPPED_RACING_INSTALL.load(Ordering::Relaxed)
+            + DROPPED_STORE.load(Ordering::Relaxed)
+    }
+
+    /// Records `per_thread` spans under `id` from each of `threads`
+    /// threads at once (released together by a barrier).
+    fn record_concurrently(id: u64, threads: usize, per_thread: usize) {
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..per_thread {
+                        let _span = span_for("work", "test", id);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_recorders_drop_nothing() {
+        let _g = lock();
+        install(TraceConfig {
+            max_spans_per_trace: 4096,
+            ..TraceConfig::default()
+        });
+        let before = dropped_records();
+        let id = next_trace_id();
+        record_concurrently(id, 4, 1000);
+        assert_eq!(dropped_records(), before, "no record dropped");
+        assert_eq!(store_spans(id).expect("trace stored").len(), 4000);
+
+        // Over the per-trace cap the store keeps the cap and counts
+        // every excess append as dropped.
+        install(TraceConfig::default());
+        let before = dropped_records();
+        let id = next_trace_id();
+        record_concurrently(id, 4, 1000);
+        let cap = TraceConfig::default().max_spans_per_trace;
+        assert_eq!(store_spans(id).expect("trace stored").len(), cap);
+        assert_eq!(dropped_records() - before, (4000 - cap) as u64);
         clear();
     }
 

@@ -102,6 +102,14 @@ pub fn active_cancelled() -> bool {
     })
 }
 
+/// A clone of the innermost [`scope`] token on this thread, or `None`
+/// outside any scope. Code that hands paths to other threads (the
+/// pool of `pieri-parallel`) captures it on the submitting thread, where
+/// the scope lives, and checks it before each path it starts.
+pub fn active_token() -> Option<CancelToken> {
+    ACTIVE.with(|s| s.borrow().last().cloned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,6 +144,23 @@ mod tests {
             assert!(active_cancelled(), "outer restored");
         });
         assert!(!active_cancelled(), "scope removed on exit");
+    }
+
+    #[test]
+    fn active_token_is_the_innermost_scope() {
+        assert!(active_token().is_none(), "no scope installed");
+        let outer = CancelToken::new();
+        let inner = CancelToken::new();
+        scope(&outer, || {
+            scope(&inner, || {
+                let seen = active_token().expect("inner scope");
+                inner.cancel();
+                assert!(seen.is_cancelled(), "a clone shares the flag");
+                assert!(!outer.is_cancelled());
+            });
+            assert!(!active_token().expect("outer scope").is_cancelled());
+        });
+        assert!(active_token().is_none());
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //!   [`track_all`] and [`TrackStats`] for whole-system runs.
 //!
 //! * [`cancel`] — cooperative cancellation tokens with deadlines,
-//!   consulted by continuation drivers at path boundaries.
+//!   consulted by continuation loops at path boundaries;
+//!   [`current_trace_id`] / [`with_trace_id`] carry a request's trace
+//!   id to the thread that tracks its path (no-ops without the `trace`
+//!   feature).
 //!
 //! Paths that diverge to infinity are first-class citizens: the cyclic
 //! 10-roots and RPS experiments of the paper owe their load-balancing
@@ -46,4 +49,5 @@ pub use path::{track_all, track_path, track_path_with, PathResult, PathStatus};
 pub use predictor::{tangent, tangent_into, Predictor};
 pub use settings::{RetrackPolicy, TrackSettings};
 pub use stats::TrackStats;
+pub use trace::{current_trace_id, with_trace_id};
 pub use workspace::{HomotopyScratch, TrackWorkspace};

@@ -8,11 +8,16 @@
 //! the feature every helper is an `#[inline(always)]` no-op — the
 //! predictor–corrector loop carries no span branches, preserving the
 //! crate's zero-allocation hot path exactly.
+//!
+//! [`current_trace_id`] and [`with_trace_id`] hand the id across
+//! threads: code that tracks paths on pool threads captures the id
+//! on the submitting thread and re-installs it around each path, so the
+//! `track.path` spans land under the request that asked for them.
 
 #[cfg(not(feature = "trace"))]
-pub(crate) use disabled::*;
+pub use disabled::*;
 #[cfg(feature = "trace")]
-pub(crate) use enabled::*;
+pub use enabled::*;
 
 #[cfg(feature = "trace")]
 mod enabled {
@@ -30,6 +35,24 @@ mod enabled {
     pub(crate) fn step_span(name: &'static str) -> pieri_trace::SpanGuard {
         pieri_trace::deep_span(name, "tracker")
     }
+
+    /// This thread's current trace id (0 = none).
+    pub fn current_trace_id() -> u64 {
+        pieri_trace::current_trace()
+    }
+
+    /// Runs `f` with `id` as this thread's current trace id and restores
+    /// the previous id afterwards, also when `f` unwinds.
+    pub fn with_trace_id<R>(id: u64, f: impl FnOnce() -> R) -> R {
+        struct Restore(u64);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                pieri_trace::set_current_trace(self.0);
+            }
+        }
+        let _restore = Restore(pieri_trace::set_current_trace(id));
+        f()
+    }
 }
 
 #[cfg(not(feature = "trace"))]
@@ -45,5 +68,18 @@ mod disabled {
     #[inline(always)]
     pub(crate) fn step_span(_name: &'static str) -> SpanGuard {
         SpanGuard {}
+    }
+
+    /// This thread's current trace id: always 0 without the `trace`
+    /// feature.
+    #[inline(always)]
+    pub fn current_trace_id() -> u64 {
+        0
+    }
+
+    /// Runs `f`; without the `trace` feature there is no id to install.
+    #[inline(always)]
+    pub fn with_trace_id<R>(_id: u64, f: impl FnOnce() -> R) -> R {
+        f()
     }
 }
